@@ -3,8 +3,7 @@ stages, evaluate, verify, sweep.
 
 Exit codes: 0 success, 1 verification/eval failure or a numeric abort,
 2 usage/configuration/input errors. All stages are deterministic for a
-fixed seed; --threads is accepted for interface stability but computation
-is single-threaded.
+fixed seed.
 
 The run_* functions do the work on plain config values and return results;
 the cmd_* wrappers add argument parsing and printing, and tests drive the
@@ -21,7 +20,6 @@ import numpy as np
 
 from . import classifier as clf
 from . import spae as spae_mod
-from .attention import ScoreMeter  # noqa: F401  (re-export for consumers)
 from .checkpoint import load_checkpoint, params_from_arrays, save_checkpoint
 from .config import RunConfig, make_config, stage_seed, transformer_config
 from .errors import ConfigError, FormatError, MeshError, NonFiniteError
@@ -298,8 +296,6 @@ def _add_common(sub: argparse.ArgumentParser):
                      help="positional encoding mode")
     sub.add_argument("--head", choices=("transformer", "mlp", "lstm", "cnn"),
                      help="temporal head to train/evaluate")
-    sub.add_argument("--threads", type=int,
-                     help="worker threads (reserved; compute is serial)")
     sub.add_argument("--out", metavar="DIR", help="output directory")
     sub.add_argument("--data-dir", metavar="DIR", help="dataset directory")
 
@@ -307,7 +303,7 @@ def _add_common(sub: argparse.ArgumentParser):
 def _config_from_args(args) -> RunConfig:
     overrides = {
         "seed": args.seed, "frames": args.frames, "heads": args.heads,
-        "pe": args.pe, "head": args.head, "threads": args.threads,
+        "pe": args.pe, "head": args.head,
         "out_dir": args.out, "data_dir": args.data_dir,
     }
     return make_config(args.config, overrides)

@@ -24,7 +24,6 @@ class RunConfig:
     cache_dir: str = ""            # empty -> SPATR_CACHE_DIR or ~/.cache
     out_dir: str = "out"
     seed: int = 0
-    threads: int = 1
     # synthetic data
     classes: int = 3
     subjects: int = 40
@@ -84,7 +83,7 @@ def _parse_head_list(s: str) -> tuple:
 
 _PARSERS = {
     "template": str, "data_dir": str, "cache_dir": str, "out_dir": str,
-    "seed": int, "threads": int,
+    "seed": int,
     "classes": int, "subjects": int, "sequence_length": int, "frames": int,
     "split_fraction": float,
     "factors": _parse_float_tuple, "spiral_lengths": _parse_int_tuple,
@@ -159,8 +158,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"unknown head {cfg.head!r}")
     if cfg.pe not in ("none", "sinusoidal", "learned"):
         raise ConfigError(f"unknown positional encoding {cfg.pe!r}")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
 
 
 STAGES = ("data", "split", "hierarchy", "spae", "encode", "classifier",

@@ -217,7 +217,7 @@ def reshape(a: Tensor, shape) -> Tensor:
             if a.requires_grad:
                 a.grad += g.reshape(a.shape)
         return bwd
-    return _make(a.data.reshape(shape).copy(), "reshape", (a,), build)
+    return _make(a.data.reshape(shape), "reshape", (a,), build)
 
 
 # ----------------------------------------------------- structure/index ops
@@ -262,14 +262,78 @@ def concat_cols(tensors) -> Tensor:
                  "concat_cols", tensors, build)
 
 
-def _scatter_add_rows(out, idx, vals):
-    """out[idx[k]] += vals[k] with repeats; sort+reduceat beats np.add.at."""
-    if idx.size == 0:
-        return
-    order = np.argsort(idx, kind="stable")
-    sidx = idx[order]
-    starts = np.flatnonzero(np.r_[True, sidx[1:] != sidx[:-1]])
-    out[sidx[starts]] += np.add.reduceat(vals[order], starts, axis=0)
+class RowPlan:
+    """A constant sparse (rows x cols) operator on feature rows, planned once.
+
+    COO entries (weights None or all ones: plain copies) are sorted stably
+    by destination row (forward) and by source row (backward) here, so no
+    pass sorts. Copies with at most one entry per output row (spiral
+    windows, vertex selection) run forward as a take from the input padded
+    with one zero row; every other pass is a segment sum.
+    """
+
+    def __init__(self, rows: int, cols: int, row_idx, col_idx, weights=None):
+        self.rows, self.cols = rows, cols
+        row_idx = np.asarray(row_idx, dtype=np.intp)
+        col_idx = np.asarray(col_idx, dtype=np.intp)
+        if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= cols):
+            raise ValueError(f"column index out of range for {cols} rows")
+        if weights is not None and (np.asarray(weights) == 1).all():
+            weights = None
+        self.take = self.forward = None
+        if weights is None and \
+                np.bincount(row_idx, minlength=rows).max(initial=0) <= 1:
+            self.take = np.full(rows, cols, dtype=np.intp)
+            self.take[row_idx] = col_idx
+        else:
+            self.forward = _segments(row_idx, col_idx, weights)
+        self.backward = _segments(col_idx, row_idx, weights)
+
+    @classmethod
+    def gather(cls, indices, input_rows: int) -> "RowPlan":
+        """Output row k copies input row indices.flat[k]; -1 gives zeros."""
+        flat = np.asarray(indices).reshape(-1)
+        if not np.issubdtype(flat.dtype, np.integer) or (
+                flat.size and flat.min() < -1):
+            raise ValueError("gather indices must be integers >= -1")
+        keep = np.flatnonzero(flat >= 0)
+        return cls(flat.size, input_rows, keep, flat[keep])
+
+
+def _segments(dst, src, weights):
+    """Entries sorted stably by dst: (dst, src, w, segment starts)."""
+    order = np.argsort(dst, kind="stable")
+    sdst = dst[order]
+    starts = np.flatnonzero(np.diff(sdst, prepend=-1))
+    w = None if weights is None else np.asarray(weights, np.float64)[order]
+    return sdst[starts], src[order], w, starts
+
+
+def _segment_add(out, segments, vals):
+    """out[dst] += the segment sums of w * vals[src], in sorted order."""
+    dst, src, w, starts = segments
+    v = vals[src] if w is None else w.astype(vals.dtype)[:, None] * vals[src]
+    out[dst] += np.add.reduceat(v, starts, axis=0)
+
+
+def _apply_plan(plan: RowPlan, x: Tensor, op: str, shape) -> Tensor:
+    if x.data.ndim != 2 or x.shape[0] != plan.cols:
+        raise ValueError(f"{op} needs ({plan.cols}, F) features, "
+                         f"got {x.shape}")
+    f = x.shape[1]
+    if plan.take is not None:
+        padded = np.concatenate((x.data, np.zeros((1, f), dtype=x.dtype)))
+        out_data = np.take(padded, plan.take, axis=0)
+    else:
+        out_data = np.zeros((plan.rows, f), dtype=x.dtype)
+        _segment_add(out_data, plan.forward, x.data)
+
+    def build():
+        def bwd(g):
+            if x.requires_grad:
+                _segment_add(x.grad, plan.backward, g.reshape(plan.rows, f))
+        return bwd
+    return _make(out_data.reshape(shape), op, (x,), build)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -277,27 +341,8 @@ def gather_rows(x: Tensor, indices) -> Tensor:
 
     `indices` may have any shape; the output shape is indices.shape + (F,).
     """
-    if x.data.ndim != 2:
-        raise ValueError(f"gather_rows needs a matrix, got shape {x.shape}")
-    idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError("gather_rows indices must be integers")
-    flat = idx.reshape(-1)
-    if flat.size and (flat.min() < -1 or flat.max() >= x.shape[0]):
-        raise ValueError(
-            f"gather_rows index out of range for {x.shape[0]} rows")
-    valid = flat >= 0
-    out_data = np.zeros((flat.size, x.shape[1]), dtype=x.dtype)
-    out_data[valid] = x.data[flat[valid]]
-    out_data = out_data.reshape(idx.shape + (x.shape[1],))
-
-    def build():
-        def bwd(g):
-            if x.requires_grad:
-                gf = g.reshape(flat.size, x.shape[1])
-                _scatter_add_rows(x.grad, flat[valid], gf[valid])
-        return bwd
-    return _make(out_data, "gather_rows", (x,), build)
+    return _apply_plan(RowPlan.gather(indices, x.shape[0]), x, "gather_rows",
+                       np.shape(indices) + x.shape[1:])
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -324,30 +369,10 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _make(x.data[:, start:stop].copy(), "slice_cols", (x,), build)
 
 
-def sparse_mm(rows: int, row_idx, col_idx, weights, x: Tensor) -> Tensor:
-    """Sparse (rows x x.rows) matrix times dense features.
-
-    The sparse matrix is given as raw COO triples; weights are constants
-    (mesh operators), so only x receives gradient. The transposed pass
-    reuses the same triples with rows/cols swapped.
-    """
-    if x.data.ndim != 2:
-        raise ValueError(f"sparse_mm needs a feature matrix, got {x.shape}")
-    row_idx = np.asarray(row_idx)
-    col_idx = np.asarray(col_idx)
-    if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= x.shape[0]):
-        raise ValueError(
-            f"sparse_mm column index out of range for {x.shape[0]} rows")
-    w = np.asarray(weights, dtype=x.dtype)
-    out_data = np.zeros((rows, x.shape[1]), dtype=x.dtype)
-    _scatter_add_rows(out_data, row_idx, w[:, None] * x.data[col_idx])
-
-    def build():
-        def bwd(g):
-            if x.requires_grad:
-                _scatter_add_rows(x.grad, col_idx, w[:, None] * g[row_idx])
-        return bwd
-    return _make(out_data, "sparse_mm", (x,), build)
+def sparse_mm(plan: RowPlan, x: Tensor) -> Tensor:
+    """plan (rows x cols) times features x (cols x F); the plan is a
+    constant (mesh operators, spiral windows), so only x gets gradient."""
+    return _apply_plan(plan, x, "sparse_mm", (plan.rows,) + x.shape[1:])
 
 
 # ----------------------------------------------------------- nonlinearities

@@ -12,7 +12,7 @@ import io
 import os
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class MeshHierarchy:
     factors: tuple
     spiral_lengths: tuple
     source_checksum: int
+    # batch size -> spae's RowPlans; a dataclasses.replace copy starts empty
+    plans: dict = field(default_factory=dict, init=False, compare=False)
 
     @property
     def level_count(self) -> int:
@@ -71,8 +73,8 @@ def build_hierarchy(topology: TemplateTopology, ref_coords: np.ndarray,
         coords.append(coarse_coords)
         downs.append(down)
         ups.append(up)
-    spirals = [build_spiral_table(t, s, ref_frame=c)
-               for t, s, c in zip(levels, spiral_lengths, coords)]
+    spirals = [build_spiral_table(t, s)
+               for t, s in zip(levels, spiral_lengths)]
     return MeshHierarchy(
         levels=tuple(levels), ref_coords=tuple(coords),
         spirals=tuple(spirals), downs=tuple(downs), ups=tuple(ups),
@@ -201,19 +203,22 @@ def cache_dir(override: str = None) -> str:
 
 
 def get_hierarchy(topology: TemplateTopology, ref_coords: np.ndarray,
-                  factors, spiral_lengths, cache_root: str = None,
-                  verbose: bool = True) -> MeshHierarchy:
+                  factors, spiral_lengths,
+                  cache_root: str = None) -> MeshHierarchy:
     """Cached build: load if the stored fingerprint matches, else rebuild."""
     root = cache_dir(cache_root)
     os.makedirs(root, exist_ok=True)
     path = os.path.join(root, CACHE_FILENAME)
     if os.path.exists(path):
         try:
-            return load_hierarchy(path, topology.checksum, factors,
-                                  spiral_lengths)
+            h = load_hierarchy(path, topology.checksum, factors,
+                               spiral_lengths)
+            if np.array_equal(h.ref_coords[0],
+                              np.asarray(ref_coords, dtype=np.float64)):
+                return h
+            raise FormatError("hierarchy cache holds another rest pose")
         except FormatError as e:
-            if verbose:
-                print(f"rebuilding hierarchy cache: {e}", file=sys.stderr)
+            print(f"rebuilding hierarchy cache: {e}", file=sys.stderr)
     h = build_hierarchy(topology, ref_coords, factors, spiral_lengths)
     save_hierarchy(path, h)
     return h

@@ -33,14 +33,3 @@ class SamplingOperator:
         out[self.row_idx, self.col_idx] = self.weights
         return out
 
-
-def apply_sampling(op: SamplingOperator, features: np.ndarray) -> np.ndarray:
-    """Sparse matrix times dense feature rows: (rows, F) from (cols, F)."""
-    features = np.asarray(features)
-    if features.ndim != 2 or features.shape[0] != op.cols:
-        raise ValueError(
-            f"feature rows {features.shape} do not match operator cols {op.cols}")
-    out = np.zeros((op.rows, features.shape[1]), dtype=features.dtype)
-    np.add.at(out, op.row_idx,
-              op.weights[:, None].astype(features.dtype) * features[op.col_idx])
-    return out

@@ -92,26 +92,38 @@ def batched_spiral_indices(table: SpiralIndexTable, batch: int) -> np.ndarray:
     return tiled.reshape(batch * v, table.length)
 
 
-def batched_sampling(op: SamplingOperator, batch: int):
-    """Block-diagonal COO triples for a per-frame operator."""
-    n = len(op.row_idx)
-    b = np.repeat(np.arange(batch, dtype=np.int64), n)
-    row_idx = np.tile(op.row_idx.astype(np.int64), batch) + b * op.rows
-    col_idx = np.tile(op.col_idx.astype(np.int64), batch) + b * op.cols
-    weights = np.tile(op.weights, batch)
-    return op.rows * batch, row_idx, col_idx, weights
+def batched_sampling(op: SamplingOperator, batch: int) -> engine.RowPlan:
+    """Block-diagonal plan applying a per-frame operator to stacked frames."""
+    b = np.arange(batch, dtype=np.int64)[:, None]
+    return engine.RowPlan(op.rows * batch, op.cols * batch,
+                          (op.row_idx + b * op.rows).ravel(),
+                          (op.col_idx + b * op.cols).ravel(),
+                          np.tile(op.weights, batch))
 
 
-def spiral_conv(features: Tensor, indices: np.ndarray, weight: Tensor,
+def _level_plans(hierarchy: MeshHierarchy, batch: int):
+    """Spiral, down and up plans for `batch` frames, kept on the hierarchy."""
+    plans = hierarchy.plans.get(batch)
+    if plans is None:
+        plans = hierarchy.plans[batch] = (
+            [engine.RowPlan.gather(batched_spiral_indices(t, batch),
+                                   batch * t.vertex_count)
+             for t in hierarchy.spirals],
+            [batched_sampling(op, batch) for op in hierarchy.downs],
+            [batched_sampling(op, batch) for op in hierarchy.ups])
+    return plans
+
+
+def spiral_conv(features: Tensor, window: engine.RowPlan, weight: Tensor,
                 bias: Tensor) -> Tensor:
     """Gather spiral neighborhoods, concatenate, apply the shared filter."""
-    v, l = indices.shape
-    f_in = features.shape[1]
+    v, f_in = features.shape
+    l = window.rows // v
     if weight.shape[0] != l * f_in:
         raise ValueError(
             f"spiral filter expects {weight.shape[0]} inputs per vertex, "
             f"got spiral length {l} x {f_in} features")
-    gathered = engine.gather_rows(features, indices)
+    gathered = engine.sparse_mm(window, features)
     flat = engine.reshape(gathered, (v, l * f_in))
     return engine.add_bias(engine.matmul(flat, weight), bias)
 
@@ -124,12 +136,13 @@ def encode_batch(params: dict, hierarchy: MeshHierarchy, frames) -> Tensor:
     if v != hierarchy.levels[0].vertex_count:
         raise ValueError(f"frames have {v} vertices, hierarchy level 0 has "
                          f"{hierarchy.levels[0].vertex_count}")
+    spirals, downs, _ = _level_plans(hierarchy, b)
     x = engine.reshape(frames, (b * v, 3))
     for i in range(len(ENCODER_WIDTHS)):
-        idx = batched_spiral_indices(hierarchy.spirals[i], b)
-        x = engine.elu(spiral_conv(x, idx, params[f"spae.enc.{i}.weight"],
+        x = engine.elu(spiral_conv(x, spirals[i],
+                                   params[f"spae.enc.{i}.weight"],
                                    params[f"spae.enc.{i}.bias"]))
-        x = engine.sparse_mm(*batched_sampling(hierarchy.downs[i], b), x)
+        x = engine.sparse_mm(downs[i], x)
     v_top = hierarchy.levels[-1].vertex_count
     x = engine.reshape(x, (b, v_top * ENCODER_WIDTHS[-1]))
     return engine.add_bias(engine.matmul(x, params["spae.fc1.weight"]),
@@ -140,6 +153,7 @@ def decode_batch(params: dict, hierarchy: MeshHierarchy,
                  codes: Tensor) -> Tensor:
     """codes: (B, C) -> reconstructed frames (B, V, 3)."""
     b = codes.shape[0]
+    spirals, _, ups = _level_plans(hierarchy, b)
     v_top = hierarchy.levels[-1].vertex_count
     x = engine.add_bias(engine.matmul(codes, params["spae.fc2.weight"]),
                         params["spae.fc2.bias"])
@@ -147,14 +161,13 @@ def decode_batch(params: dict, hierarchy: MeshHierarchy,
     n_up = hierarchy.level_count - 1
     for i in range(len(DECODER_WIDTHS)):
         if i < n_up:
-            up = hierarchy.ups[n_up - 1 - i]
-            x = engine.sparse_mm(*batched_sampling(up, b), x)
+            x = engine.sparse_mm(ups[n_up - 1 - i], x)
         level = _decoder_level(hierarchy, i)
-        idx = batched_spiral_indices(hierarchy.spirals[level], b)
-        x = engine.elu(spiral_conv(x, idx, params[f"spae.dec.{i}.weight"],
+        x = engine.elu(spiral_conv(x, spirals[level],
+                                   params[f"spae.dec.{i}.weight"],
                                    params[f"spae.dec.{i}.bias"]))
-    idx0 = batched_spiral_indices(hierarchy.spirals[0], b)
-    x = spiral_conv(x, idx0, params["spae.out.weight"], params["spae.out.bias"])
+    x = spiral_conv(x, spirals[0], params["spae.out.weight"],
+                    params["spae.out.bias"])
     v0 = hierarchy.levels[0].vertex_count
     return engine.reshape(x, (b, v0, 3))
 

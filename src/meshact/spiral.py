@@ -32,62 +32,39 @@ class SpiralIndexTable:
 
     length: int
     indices: np.ndarray            # (V, l) int32
-    pad_sentinel: int = PAD_SENTINEL
 
     @property
     def vertex_count(self) -> int:
         return len(self.indices)
 
 
-def _graph_distances(topology: TemplateTopology, source: int) -> np.ndarray:
-    dist = np.full(topology.vertex_count, -1, dtype=np.int32)
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in topology.adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = d
-                    nxt.append(int(w))
-        frontier = nxt
-    return dist
-
-
 def spiral_for_vertex(topology: TemplateTopology, v: int, length: int) -> list[int]:
     """Spiral ordering for one vertex, padded/truncated to `length`."""
-    dist = _graph_distances(topology, v)
     spiral = [v]
     ring = [int(u) for u in topology.adjacency[v]]
     if not ring:
         raise MeshError(f"vertex {v} is isolated; cannot enumerate rings")
-    k = 1
+    # A neighbor of ring k is in ring k-1, k or k+1: unvisited means k+1.
+    visited = {v, *ring}
     while ring and len(spiral) < length:
         spiral.extend(ring)
-        seen = set()
         nxt = []
         for u in ring:
             for w in topology.adjacency[u]:
                 w = int(w)
-                if dist[w] == k + 1 and w not in seen:
-                    seen.add(w)
+                if w not in visited:
+                    visited.add(w)
                     nxt.append(w)
         ring = nxt
-        k += 1
     spiral = spiral[:length]
     spiral += [PAD_SENTINEL] * (length - len(spiral))
     return spiral
 
 
-def build_spiral_table(topology: TemplateTopology, length: int,
-                       ref_frame=None) -> SpiralIndexTable:
-    """Spiral table for every vertex.
-
-    `ref_frame` is accepted for interface stability; the ordering rule is
-    purely combinatorial, so geometry never breaks a tie.
-    """
+def build_spiral_table(topology: TemplateTopology,
+                       length: int) -> SpiralIndexTable:
+    """Spiral table for every vertex; the ordering rule is purely
+    combinatorial, so geometry never breaks a tie."""
     if length < 1:
         raise ValueError("spiral length must be >= 1")
     rows = [spiral_for_vertex(topology, v, length)

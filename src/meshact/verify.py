@@ -137,13 +137,10 @@ def op_gradient_cases(rng: np.random.Generator):
     cases.append(("slice_cols", {"x": s},
                   lambda: smooth(engine.slice_cols(s, 2, 5))))
     t = P((5, 3))
-    sp_rows = 4
-    sp_r = np.array([0, 0, 1, 2, 3, 3])
-    sp_c = np.array([0, 4, 1, 2, 3, 0])
-    sp_w = rng.uniform(0.2, 1.0, size=6)
+    plan = engine.RowPlan(4, 5, [0, 0, 1, 2, 3, 3], [0, 4, 1, 2, 3, 0],
+                          rng.uniform(0.2, 1.0, size=6))
     cases.append(("sparse_mm", {"x": t},
-                  lambda: smooth(engine.sparse_mm(sp_rows, sp_r, sp_c,
-                                                  sp_w, t))))
+                  lambda: smooth(engine.sparse_mm(plan, t))))
     u = P((4, 5), away=True)
     cases.append(("elu", {"x": u}, lambda: smooth(engine.elu(u))))
     v = P((4, 5))

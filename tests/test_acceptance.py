@@ -22,7 +22,6 @@ from meshact.checkpoint import load_checkpoint, params_from_arrays, \
 from meshact.config import make_config, transformer_config
 from meshact.engine import Tensor
 from meshact.hierarchy import build_hierarchy
-from meshact.sampling import apply_sampling
 from meshact.sequence import (MeshSequence, apply_norm, compute_norm_stats,
                               denormalize_frames, load_sequence,
                               save_sequence)
@@ -142,15 +141,16 @@ def test_criterion_2_oracle_equivalence(announce):
             if idx != PAD_SENTINEL:
                 window[j] = feats[idx]
         ref[i] = window.reshape(-1) @ w + bias
-    got = spae.spiral_conv(Tensor(feats), table.indices, Tensor(w),
-                           Tensor(bias)).data
+    got = spae.spiral_conv(Tensor(feats),
+                           engine.RowPlan.gather(table.indices, 12),
+                           Tensor(w), Tensor(bias)).data
     worst = max(worst, np.abs(got - ref).max())
 
     h = build_hierarchy(topo, coords, (2.0,), (6, 5))
     for op in (h.downs[0], h.ups[0]):
         f = rng.standard_normal((op.cols, 5))
-        worst = max(worst, np.abs(apply_sampling(op, f)
-                                  - op.dense() @ f).max())
+        got = engine.sparse_mm(spae.batched_sampling(op, 1), Tensor(f)).data
+        worst = max(worst, np.abs(got - op.dense() @ f).max())
 
     q, k, v = (rng.standard_normal((6, 4)) for _ in range(3))
     ref = np.zeros((6, 4))

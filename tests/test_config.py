@@ -86,7 +86,6 @@ def test_unknown_override_key():
     {"factors": "4,4", "spiral_lengths": "12,11"},  # needs 3 lengths
     {"head": "gru"},
     {"pe": "rotary"},
-    {"threads": 0},
 ])
 def test_validation_rejects_bad_configs(overrides):
     with pytest.raises(ConfigError):

@@ -120,7 +120,8 @@ def test_sparse_mm_matches_dense():
     for r, c, v in zip(row_idx, col_idx, w):
         dense[r, c] += v
     x = rng.standard_normal((7, 3))
-    out = engine.sparse_mm(5, row_idx, col_idx, w, _t(x)).data
+    out = engine.sparse_mm(engine.RowPlan(5, 7, row_idx, col_idx, w),
+                           _t(x)).data
     assert np.abs(out - dense @ x).max() < 1e-12
 
 
@@ -130,6 +131,7 @@ def test_shape_ops_roundtrip():
     t = _t(x)
     assert np.array_equal(engine.transpose(engine.transpose(t)).data, x)
     assert np.array_equal(engine.reshape(t, (6, 4)).data, x.reshape(6, 4))
+    assert np.shares_memory(engine.reshape(t, (6, 4)).data, t.data)
     cat = engine.concat_rows([t, t])
     assert np.array_equal(cat.data, np.concatenate([x, x], axis=0))
     assert np.array_equal(engine.slice_rows(cat, 3, 6).data, x)

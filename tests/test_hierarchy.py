@@ -85,6 +85,26 @@ def test_get_hierarchy_caches_and_rebuilds(tmp_path, capsys):
     assert cache_file.stat().st_mtime_ns != stamp
 
 
+def test_get_hierarchy_rebuilds_for_a_new_rest_pose(tmp_path, capsys):
+    topo, coords = icosphere(2)
+    get_hierarchy(topo, coords, FACTORS, LENGTHS, cache_root=str(tmp_path))
+    stretched = coords * np.array([1.0, 1.0, 3.0])
+    capsys.readouterr()
+    h = get_hierarchy(topo, stretched, FACTORS, LENGTHS,
+                      cache_root=str(tmp_path))
+    assert "rebuilding hierarchy cache" in capsys.readouterr().err
+    fresh = build_hierarchy(topo, stretched, FACTORS, LENGTHS)
+    for a, b in zip(h.ref_coords, fresh.ref_coords):
+        assert np.array_equal(a, b)
+    for a, b in zip(h.levels, fresh.levels):
+        assert np.array_equal(a.faces, b.faces)
+    for a, b in zip(h.spirals, fresh.spirals):
+        assert np.array_equal(a.indices, b.indices)
+    for a, b in zip(h.downs + h.ups, fresh.downs + fresh.ups):
+        assert np.array_equal(a.col_idx, b.col_idx)
+        assert np.array_equal(a.weights, b.weights)
+
+
 def test_cache_dir_environment_override(tmp_path, monkeypatch):
     from meshact.hierarchy import cache_dir
     monkeypatch.setenv("SPATR_CACHE_DIR", str(tmp_path / "envcache"))

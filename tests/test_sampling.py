@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from meshact.sampling import SamplingOperator, apply_sampling
+from meshact import engine, spae
+from meshact.engine import Tensor
+from meshact.sampling import SamplingOperator
+
+
+def _apply(op, x):
+    """The model's path: a one-frame plan through the engine op."""
+    return engine.sparse_mm(spae.batched_sampling(op, 1), Tensor(x)).data
 
 
 def _random_operator(rng, rows, cols, kind):
@@ -35,8 +42,7 @@ def test_apply_matches_dense_product():
             rows, cols = int(rng.integers(1, 12)), int(rng.integers(12, 16))
             op = _random_operator(rng, rows, cols, kind)
             x = rng.standard_normal((cols, int(rng.integers(1, 6))))
-            assert np.allclose(apply_sampling(op, x), op.dense() @ x,
-                               atol=1e-12)
+            assert np.allclose(_apply(op, x), op.dense() @ x, atol=1e-12)
 
 
 def test_bad_kind_rejected():
@@ -57,4 +63,4 @@ def test_feature_row_mismatch_rejected():
     rng = np.random.default_rng(0)
     op = _random_operator(rng, 3, 8, "up")
     with pytest.raises(ValueError):
-        apply_sampling(op, np.zeros((7, 2)))
+        _apply(op, np.zeros((7, 2)))

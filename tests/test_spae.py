@@ -1,5 +1,6 @@
 """Spiral autoencoder: convolution semantics, batching, training, files."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -50,10 +51,9 @@ def test_batched_spiral_indices_offset_blocks():
 def test_batched_sampling_is_block_diagonal():
     h = _hierarchy()
     op = h.downs[0]
-    rows, row_idx, col_idx, weights = spae.batched_sampling(op, 2)
-    assert rows == 2 * op.rows
-    dense = np.zeros((rows, 2 * op.cols))
-    dense[row_idx, col_idx] = weights
+    plan = spae.batched_sampling(op, 2)
+    assert (plan.rows, plan.cols) == (2 * op.rows, 2 * op.cols)
+    dense = engine.sparse_mm(plan, Tensor(np.eye(plan.cols))).data
     single = op.dense()
     assert np.array_equal(dense[:op.rows, :op.cols], single)
     assert np.array_equal(dense[op.rows:, op.cols:], single)
@@ -78,8 +78,8 @@ def test_spiral_conv_matches_naive_loop():
                 window[j] = x[idx]
         ref[i] = window.reshape(-1) @ w + bias
 
-    out = spae.spiral_conv(Tensor(x), table.indices,
-                           Tensor(w, requires_grad=True),
+    window = engine.RowPlan.gather(table.indices, v)
+    out = spae.spiral_conv(Tensor(x), window, Tensor(w, requires_grad=True),
                            Tensor(bias, requires_grad=True))
     assert np.abs(out.data - ref).max() < 1e-12
 
@@ -185,3 +185,23 @@ def test_encode_dataset_matches_encode_batch():
         assert out_label == label
         direct = spae.encode_batch(frozen, h, Tensor(frames)).data
         assert np.abs(emb - direct).max() < 1e-5
+
+
+def test_plans_are_built_once_per_batch_size(monkeypatch):
+    rng = np.random.default_rng(10)
+    h = _hierarchy(short_spirals=True)
+    params = spae.init_spae_params(h, 4, rng)
+    frames = rng.standard_normal((2, 42, 3)).astype(np.float32)
+    calls = []
+    tile = spae.batched_spiral_indices
+
+    def counted(table, batch):
+        calls.append(batch)
+        return tile(table, batch)
+    monkeypatch.setattr(spae, "batched_spiral_indices", counted)
+    first = spae.reconstruction_loss(params, h, frames)
+    second = spae.reconstruction_loss(params, h, frames)
+    assert calls == [2] * h.level_count
+    assert first.item() == second.item()
+    assert list(h.plans) == [2]
+    assert not dataclasses.replace(h).plans
