@@ -1,6 +1,8 @@
 """Multi-head self-attention classifier over per-frame embedding tokens.
 
-Tokens are rows. Scores are Q K^T / sqrt(C_k), softmaxed per query row.
+Tokens are rows: a mini-batch of B sequences of L tokens is one stack of
+B*L rows (see batching.py), and each head scores it as a (B, L, L) batch.
+Scores are Q K^T / sqrt(C_k), softmaxed per query row.
 Standard transformer scaffolding (residuals, pre-layer-norm, position-wise
 feed-forward) is included for trainability and individually toggleable so
 the bare attention stack can be studied on its own.
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
+from . import batching, engine
 from .engine import Tensor
 from .errors import ConfigError
 from .optim import glorot_uniform, ones_param, zeros_param
@@ -124,17 +126,18 @@ def qkv_project(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor):
 
 
 def attention_weights(q: Tensor, k: Tensor) -> Tensor:
-    if q.shape[1] != k.shape[1]:
+    """Softmaxed scores of (L, d) or (B, L, d) queries against keys."""
+    if q.shape[-1] != k.shape[-1]:
         raise ValueError(f"key width mismatch: {q.shape} vs {k.shape}")
     scores = engine.scale(engine.matmul(q, engine.transpose(k)),
-                          1.0 / math.sqrt(q.shape[1]))
+                          1.0 / math.sqrt(q.shape[-1]))
     for meter in _METERS:
         meter.add(scores.data.nbytes)
     return engine.softmax_rows(scores)
 
 
 def self_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise ValueError(f"key/value row mismatch: {k.shape} vs {v.shape}")
     return engine.matmul(attention_weights(q, k), v)
 
@@ -160,19 +163,23 @@ def positional_encoding(length: int, d_model: int, mode: str,
 
 
 def mhsa_layer(x: Tensor, params: dict, cfg: TransformerConfig,
-               layer: int) -> Tensor:
-    """One attention block: heads -> concat -> projection (+ extras)."""
+               layer: int, batch: int = 1) -> Tensor:
+    """One attention block over (B*L, d) rows: heads -> concat ->
+    projection (+ extras). Each head attends within its own sequence."""
     h = x
     if cfg.use_layernorm:
         h = engine.layernorm_rows(h, params[f"trf.layer{layer}.ln1.gamma"],
                                   params[f"trf.layer{layer}.ln1.beta"])
+    rows = x.shape[0]
     outs = []
     for j in range(cfg.heads[layer]):
-        q, k, v = qkv_project(h,
-                              params[f"trf.layer{layer}.head{j}.wq"],
-                              params[f"trf.layer{layer}.head{j}.wk"],
-                              params[f"trf.layer{layer}.head{j}.wv"])
-        outs.append(self_attention(q, k, v))
+        q, k, v = (engine.reshape(t, (batch, rows // batch, t.shape[1]))
+                   for t in qkv_project(
+                       h, params[f"trf.layer{layer}.head{j}.wq"],
+                       params[f"trf.layer{layer}.head{j}.wk"],
+                       params[f"trf.layer{layer}.head{j}.wv"]))
+        out = self_attention(q, k, v)
+        outs.append(engine.reshape(out, (rows, out.shape[2])))
     attn = engine.add_bias(
         engine.matmul(engine.concat_cols(outs),
                       params[f"trf.layer{layer}.proj.weight"]),
@@ -194,31 +201,36 @@ def mhsa_layer(x: Tensor, params: dict, cfg: TransformerConfig,
 
 def forward_sequence(params: dict, cfg: TransformerConfig,
                      tokens) -> Tensor:
-    """(L, C) tokens -> (1, n_classes) logits, differentiable."""
-    if not isinstance(tokens, Tensor):
-        tokens = Tensor(np.asarray(tokens, dtype=np.float32))
-    if tokens.data.ndim != 2 or tokens.shape[1] != cfg.in_dim:
-        raise ValueError(f"tokens must be (L, {cfg.in_dim}), got {tokens.shape}")
-    x = engine.add_bias(engine.matmul(tokens, params["trf.input.weight"]),
+    """(L, C) or (B, L, C) tokens -> (B, n_classes) logits, differentiable;
+    (L, C) is the B=1 case."""
+    rows, batch, length = batching.stack_rows(tokens)
+    if rows.shape[1] != cfg.in_dim:
+        raise ValueError(f"tokens must be (L, {cfg.in_dim}) or "
+                         f"(B, L, {cfg.in_dim}), got {tokens.shape}")
+    x = engine.add_bias(engine.matmul(rows, params["trf.input.weight"]),
                         params["trf.input.bias"])
     if cfg.use_class_token:
-        x = engine.concat_rows([params["trf.cls.token"], x])
-    length = x.shape[0]
+        x = engine.sparse_mm(batching.prepend_plan(batch, length),
+                             engine.concat_rows([params["trf.cls.token"], x]))
+        length += 1
     if cfg.pe_mode == "learned":
         if length > cfg.pe_capacity:
             raise ConfigError(f"sequence length {length} exceeds the learned "
                               f"position table capacity {cfg.pe_capacity}")
-        x = engine.add(x, engine.slice_rows(params["trf.pe.table"], 0, length))
+        x = engine.add(x, engine.sparse_mm(
+            batching.tile_plan(batch, length, cfg.pe_capacity),
+            params["trf.pe.table"]))
     elif cfg.pe_mode == "sinusoidal":
         pe = positional_encoding(length, cfg.d_model, "sinusoidal")
-        x = engine.add(x, Tensor(pe.astype(x.data.dtype)))
+        x = engine.add(x, Tensor(np.tile(pe.astype(x.data.dtype), (batch, 1))))
     for i in range(len(cfg.heads)):
-        x = mhsa_layer(x, params, cfg, i)
+        x = mhsa_layer(x, params, cfg, i, batch)
     if cfg.use_layernorm:
         x = engine.layernorm_rows(x, params["trf.final_ln.gamma"],
                                   params["trf.final_ln.beta"])
-    pooled = (engine.slice_rows(x, 0, 1) if cfg.use_class_token
-              else engine.mean_rows(x))
+    pooled = engine.sparse_mm(
+        batching.first_row_plan(batch, length) if cfg.use_class_token
+        else batching.mean_plan(batch, length), x)
     return engine.add_bias(engine.matmul(pooled, params["trf.fc3.weight"]),
                            params["trf.fc3.bias"])
 

@@ -1,9 +1,11 @@
 """Training and evaluation shared by the transformer and ablation heads.
 
-Every head exposes forward(params, tokens) -> (1, n_classes) logits through
-the same engine, so one loop covers the lot: cross-entropy over sequence
-mini-batches, Adam with per-epoch lr decay, per-epoch test accuracy. All
-heads therefore emit the same metrics schema and are directly comparable.
+Every head exposes forward(params, tokens): (B, L, C) tokens give
+(B, n_classes) logits through the same engine, and an (L, C) sequence is
+the B=1 case. So one loop covers the lot: one graph per mini-batch,
+cross-entropy, Adam with per-epoch lr decay, per-epoch test accuracy from
+one forward over the split. All heads therefore emit the same metrics
+schema and are directly comparable.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from . import attention, engine, heads
 from .attention import TransformerConfig
-from .engine import Tensor
+from .engine import RowPlan, Tensor
 from .errors import NonFiniteError
 from .optim import AdamState, adam_step, lr_decay
 
@@ -44,18 +46,34 @@ def make_head(kind: str, cfg: TransformerConfig, rng: np.random.Generator,
                      f"{', '.join(HEAD_KINDS)}")
 
 
+def batch_logits(forward, params: dict, embeddings) -> Tensor:
+    """(N, n_classes) logits of N sequences, rows in input order.
+
+    Sequences of one length share one forward; each further length adds
+    one, and a row permutation restores the input order.
+    """
+    groups = {}
+    for i, emb in enumerate(embeddings):
+        groups.setdefault(emb.shape[0], []).append(i)
+    parts = [forward(params, Tensor(np.stack([embeddings[i] for i in idx])))
+             for idx in groups.values()]
+    if len(parts) == 1:
+        return parts[0]
+    order = np.concatenate(list(groups.values()))
+    return engine.sparse_mm(RowPlan.gather(np.argsort(order), len(order)),
+                            engine.concat_rows(parts))
+
+
 def evaluate(forward, params: dict, dataset) -> tuple:
     """Accuracy and per-sequence predictions with frozen parameters."""
+    if not dataset:
+        return 0.0, np.zeros(0, dtype=np.int64)
     frozen = {name: p.detach() for name, p in params.items()}
-    preds, labels = [], []
-    for emb, label in dataset:
-        logits = forward(frozen, Tensor(np.asarray(emb, dtype=np.float32)))
-        preds.append(int(np.argmax(logits.data[0])))
-        labels.append(int(label))
-    preds = np.array(preds, dtype=np.int64)
-    labels = np.array(labels, dtype=np.int64)
-    acc = float((preds == labels).mean()) if len(preds) else 0.0
-    return acc, preds
+    logits = batch_logits(forward, frozen, [
+        np.asarray(emb, dtype=np.float32) for emb, _ in dataset])
+    preds = np.argmax(logits.data, axis=1).astype(np.int64)
+    labels = np.array([int(label) for _, label in dataset], dtype=np.int64)
+    return float((preds == labels).mean()), preds
 
 
 def train_head(kind: str, cfg: TransformerConfig, train_set, test_set, *,
@@ -76,8 +94,8 @@ def train_head(kind: str, cfg: TransformerConfig, train_set, test_set, *,
         total, count = 0.0, 0
         for it, start in enumerate(range(0, n, batch_size)):
             chosen = order[start:start + batch_size]
-            logits = engine.concat_rows(
-                [forward(params, Tensor(train_set[i][0])) for i in chosen])
+            logits = batch_logits(forward, params,
+                                  [train_set[i][0] for i in chosen])
             labels = np.array([train_set[i][1] for i in chosen])
             try:
                 loss = engine.cross_entropy(logits, labels)

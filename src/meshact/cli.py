@@ -206,10 +206,13 @@ def run_eval(cfg: RunConfig):
     rng = np.random.default_rng(0)
     lengths = {emb.shape[0] for emb, _ in test}
     fresh, forward = clf.make_head(cfg.head, tcfg, rng, length=max(lengths))
-    if set(fresh) != set(params):
-        raise FormatError(
-            f"{path} holds a {'/'.join(sorted(set(params))[:1])}... parameter "
-            f"set that does not match head {cfg.head!r} at this configuration")
+    for name in sorted(set(fresh) | set(params)):
+        held = params[name].shape if name in params else "absent"
+        needed = fresh[name].shape if name in fresh else "absent"
+        if held != needed:
+            raise FormatError(
+                f"{path}: parameter {name!r} has shape {held}, but head "
+                f"{cfg.head!r} at this configuration needs {needed}")
     acc, preds = clf.evaluate(forward, params, test)
     labels = np.array([label for _, label in test])
     cm = clf.confusion_matrix(preds, labels, tcfg.n_classes)

@@ -14,7 +14,8 @@ Design points:
     and everything stays in the input dtype (no silent upcasts);
   * no general broadcasting. The few mixed-shape patterns that the models
     need (bias rows, row means, sparse operators) are dedicated ops with
-    hand-written backward rules.
+    hand-written backward rules; matmul, transpose and softmax_rows also
+    take one leading batch axis, for per-sequence attention scores.
 """
 
 from __future__ import annotations
@@ -114,17 +115,23 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 # ---------------------------------------------------------------- linear ops
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """a @ b for matrices, or per item of a (B, n, k) @ (B, k, m) batch."""
+    if a.data.ndim not in (2, 3) or a.data.ndim != b.data.ndim or \
+            a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
 
     def build():
         def bwd(g):
             if a.requires_grad:
-                a.grad += g @ b.data.T
+                a.grad += g @ _swap(b.data)
             if b.requires_grad:
-                b.grad += a.data.T @ g
+                b.grad += _swap(a.data) @ g
         return bwd
     return _make(out_data, "matmul", (a, b), build)
 
@@ -198,15 +205,17 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose needs a matrix, got shape {a.shape}")
+    """Swaps the last two axes of a matrix or a (B, n, m) batch."""
+    if a.data.ndim not in (2, 3):
+        raise ValueError(f"transpose needs a matrix or a batch of them, "
+                         f"got shape {a.shape}")
 
     def build():
         def bwd(g):
             if a.requires_grad:
-                a.grad += g.T
+                a.grad += _swap(g)
         return bwd
-    return _make(a.data.T.copy(), "transpose", (a,), build)
+    return _make(_swap(a.data).copy(), "transpose", (a,), build)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -417,17 +426,19 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax, max-shifted so large scores cannot overflow."""
-    if x.data.ndim != 2:
-        raise ValueError(f"softmax_rows needs a matrix, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    """Row-wise softmax of a matrix or a (B, n, m) batch, max-shifted so
+    large scores cannot overflow."""
+    if x.data.ndim not in (2, 3):
+        raise ValueError(f"softmax_rows needs a matrix or a batch of them, "
+                         f"got shape {x.shape}")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def build():
         def bwd(g):
             if x.requires_grad:
-                dot = (g * out_data).sum(axis=1, keepdims=True)
+                dot = (g * out_data).sum(axis=-1, keepdims=True)
                 x.grad += out_data * (g - dot)
         return bwd
     return _make(out_data, "softmax_rows", (x,), build)

@@ -1,21 +1,25 @@
 """Alternate temporal heads trained on the same cached embeddings.
 
-Each head maps an (L, C) token sequence to (1, n_classes) logits through
-the shared engine, so the classifier training loop is head-agnostic:
+Each head maps (L, C) or (B, L, C) tokens to (B, n_classes) logits through
+the shared engine, one graph per mini-batch, so the classifier training
+loop is head-agnostic. Tokens are stacked as B*L rows (batching.py):
 
-  * mlp  - flattens the whole sequence, 3 hidden layers; its first weight
+  * mlp  - flattens each whole sequence, 3 hidden layers; its first weight
     matrix is (L*C x h), so parameter count grows linearly with L;
-  * lstm - 3 stacked recurrent layers, final hidden state to a linear map;
+  * lstm - 3 stacked recurrent layers stepped over (B, hidden) states,
+    final hidden state to a linear map;
   * cnn  - 3 temporal convolutions (kernel 5, zero-padded) with global
     average pooling over time.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from . import engine
-from .engine import Tensor
+from . import batching, engine
+from .engine import RowPlan, Tensor
 from .optim import glorot_uniform, zeros_param
 
 MLP_HIDDEN = (128, 64, 32)
@@ -39,13 +43,14 @@ def init_mlp_params(rng, in_dim: int, length: int, n_classes: int,
     return p
 
 
-def mlp_forward(params: dict, tokens: Tensor) -> Tensor:
-    length, c = tokens.shape
+def mlp_forward(params: dict, tokens) -> Tensor:
+    rows, batch, length = batching.stack_rows(tokens)
+    c = rows.shape[1]
     expected = params["mlp.fc0.weight"].shape[0]
     if length * c != expected:
         raise ValueError(f"mlp was built for {expected} flattened inputs, "
                          f"got {length}x{c}")
-    x = engine.reshape(tokens, (1, length * c))
+    x = engine.reshape(rows, (batch, length * c))
     for i in range(len(MLP_HIDDEN)):
         x = engine.elu(engine.add_bias(
             engine.matmul(x, params[f"mlp.fc{i}.weight"]),
@@ -75,19 +80,20 @@ def init_lstm_params(rng, in_dim: int, n_classes: int,
     return p
 
 
-def _lstm_layer(params: dict, layer: int, xs: Tensor, hidden: int) -> Tensor:
-    """Run one layer over all rows of xs; returns the (L, hidden) outputs."""
-    wx = params[f"lstm.layer{layer}.wx"]
+def _lstm_layer(params: dict, layer: int, xs: Tensor, batch: int,
+                hidden: int) -> list:
+    """Run one layer over time-major (L*B, d) rows; returns the (B, hidden)
+    state of every step."""
     wh = params[f"lstm.layer{layer}.wh"]
-    bias = params[f"lstm.layer{layer}.bias"]
-    dtype = xs.data.dtype
-    h = Tensor(np.zeros((1, hidden), dtype=dtype))
-    c = Tensor(np.zeros((1, hidden), dtype=dtype))
+    # The input term of every step at once; each step adds only h @ wh.
+    zx = engine.add_bias(engine.matmul(xs, params[f"lstm.layer{layer}.wx"]),
+                         params[f"lstm.layer{layer}.bias"])
+    h = Tensor(np.zeros((batch, hidden), dtype=xs.data.dtype))
+    c = Tensor(np.zeros((batch, hidden), dtype=xs.data.dtype))
     outs = []
-    for t in range(xs.shape[0]):
-        x_t = engine.slice_rows(xs, t, t + 1)
-        z = engine.add_bias(engine.add(engine.matmul(x_t, wx),
-                                       engine.matmul(h, wh)), bias)
+    for t in range(xs.shape[0] // batch):
+        z = engine.add(engine.slice_rows(zx, t * batch, (t + 1) * batch),
+                       engine.matmul(h, wh))
         i_g = engine.sigmoid(engine.slice_cols(z, 0, hidden))
         f_g = engine.sigmoid(engine.slice_cols(z, hidden, 2 * hidden))
         g_g = engine.tanh(engine.slice_cols(z, 2 * hidden, 3 * hidden))
@@ -95,16 +101,18 @@ def _lstm_layer(params: dict, layer: int, xs: Tensor, hidden: int) -> Tensor:
         c = engine.add(engine.mul(f_g, c), engine.mul(i_g, g_g))
         h = engine.mul(o_g, engine.tanh(c))
         outs.append(h)
-    return engine.concat_rows(outs)
+    return outs
 
 
-def lstm_forward(params: dict, tokens: Tensor, hidden: int = LSTM_HIDDEN,
+def lstm_forward(params: dict, tokens, hidden: int = LSTM_HIDDEN,
                  layers: int = 3) -> Tensor:
-    x = tokens
+    rows, batch, length = batching.stack_rows(tokens)
+    x = engine.sparse_mm(batching.time_major_plan(batch, length), rows)
     for i in range(layers):
-        x = _lstm_layer(params, i, x, hidden)
-    last = engine.slice_rows(x, x.shape[0] - 1, x.shape[0])
-    return engine.add_bias(engine.matmul(last, params["lstm.out.weight"]),
+        steps = _lstm_layer(params, i, x, batch, hidden)
+        if i + 1 < layers:
+            x = engine.concat_rows(steps)
+    return engine.add_bias(engine.matmul(steps[-1], params["lstm.out.weight"]),
                            params["lstm.out.bias"])
 
 
@@ -132,18 +140,27 @@ def _window_indices(length: int, kernel: int) -> np.ndarray:
     return np.where((idx < 0) | (idx >= length), -1, idx).astype(np.int64)
 
 
-def cnn_forward(params: dict, tokens: Tensor, channels=CNN_CHANNELS,
+@lru_cache(maxsize=batching.CACHED_PLANS)
+def window_plan(batch: int, length: int, kernel: int) -> RowPlan:
+    """(B*L*kernel, B*L): every row's zero-padded window, kept within its
+    own sequence; one plan serves all conv layers of a (B, L) batch."""
+    win = _window_indices(length, kernel)
+    offsets = (np.arange(batch) * length)[:, None, None]
+    return RowPlan.gather(np.where(win < 0, -1, win[None] + offsets),
+                          batch * length)
+
+
+def cnn_forward(params: dict, tokens, channels=CNN_CHANNELS,
                 kernel: int = CNN_KERNEL) -> Tensor:
-    x = tokens
-    length = x.shape[0]
-    windows = _window_indices(length, kernel)
+    x, batch, length = batching.stack_rows(tokens)
+    windows = window_plan(batch, length, kernel)
     for i in range(len(channels)):
         c_in = x.shape[1]
-        g = engine.gather_rows(x, windows)
-        g = engine.reshape(g, (length, kernel * c_in))
+        g = engine.reshape(engine.sparse_mm(windows, x),
+                           (batch * length, kernel * c_in))
         x = engine.elu(engine.add_bias(
             engine.matmul(g, params[f"cnn.conv{i}.weight"]),
             params[f"cnn.conv{i}.bias"]))
-    pooled = engine.mean_rows(x)
+    pooled = engine.sparse_mm(batching.mean_plan(batch, length), x)
     return engine.add_bias(engine.matmul(pooled, params["cnn.out.weight"]),
                            params["cnn.out.bias"])

@@ -103,6 +103,9 @@ def op_gradient_cases(rng: np.random.Generator):
     a, b = P((4, 3)), P((3, 5))
     cases.append(("matmul", {"a": a, "b": b},
                   lambda: smooth(engine.matmul(a, b))))
+    ab, bb = P((2, 4, 3)), P((2, 3, 5))
+    cases.append(("matmul_batched", {"a": ab, "b": bb},
+                  lambda: smooth(engine.matmul(ab, bb))))
     c, d = P((4, 5)), P((4, 5))
     cases.append(("add", {"a": c, "b": d}, lambda: smooth(engine.add(c, d))))
     e, f = P((4, 5)), P((4, 5))
@@ -116,6 +119,9 @@ def op_gradient_cases(rng: np.random.Generator):
                   lambda: smooth(engine.add_bias(j, jb))))
     k = P((4, 6))
     cases.append(("transpose", {"x": k}, lambda: smooth(engine.transpose(k))))
+    kb = P((2, 4, 6))
+    cases.append(("transpose_batched", {"x": kb},
+                  lambda: smooth(engine.transpose(kb))))
     m = P((4, 6))
     cases.append(("reshape", {"x": m},
                   lambda: smooth(engine.reshape(m, (8, 3)))))
@@ -141,6 +147,11 @@ def op_gradient_cases(rng: np.random.Generator):
                           rng.uniform(0.2, 1.0, size=6))
     cases.append(("sparse_mm", {"x": t},
                   lambda: smooth(engine.sparse_mm(plan, t))))
+    tp = P((6, 3))
+    pool = engine.RowPlan(2, 6, [0, 0, 0, 1, 1, 1], np.arange(6),
+                          np.full(6, 1.0 / 3.0))
+    cases.append(("sparse_mm_pool", {"x": tp},
+                  lambda: smooth(engine.sparse_mm(pool, tp))))
     u = P((4, 5), away=True)
     cases.append(("elu", {"x": u}, lambda: smooth(engine.elu(u))))
     v = P((4, 5))
@@ -150,6 +161,9 @@ def op_gradient_cases(rng: np.random.Generator):
     x = P((4, 5))
     cases.append(("softmax_rows", {"x": x},
                   lambda: smooth(engine.softmax_rows(x))))
+    xb = P((2, 4, 5))
+    cases.append(("softmax_rows_batched", {"x": xb},
+                  lambda: smooth(engine.softmax_rows(xb))))
     y, yg, yb = P((4, 6)), P((6,)), P((6,))
     cases.append(("layernorm_rows", {"x": y, "gamma": yg, "beta": yb},
                   lambda: smooth(engine.layernorm_rows(y, yg, yb))))
@@ -278,8 +292,8 @@ def _check_gradient_attention(fault: bool) -> CheckResult:
     for p in params.values():  # break the symmetry of zero-init tables
         if p.data.ndim == 1 or not p.data.any():
             p.data += rng.standard_normal(p.data.shape) * 0.05
-    tokens = rng.standard_normal((3, 5))
-    labels = np.array([1])
+    tokens = rng.standard_normal((2, 3, 5))
+    labels = np.array([1, 0])
 
     def make_loss():
         return engine.cross_entropy(
@@ -288,7 +302,8 @@ def _check_gradient_attention(fault: bool) -> CheckResult:
     err = fd_max_error(make_loss, params, rng, entries_per_tensor=2,
                        corrupt=fault)
     return CheckResult("gradient_attention", err < 1e-5, err,
-                       "attention stack + cross-entropy (L=3, d_model=8)")
+                       "attention stack + cross-entropy (B=2, L=3, "
+                       "d_model=8)")
 
 
 def _check_softmax() -> CheckResult:

@@ -11,6 +11,7 @@ from meshact.attention import (ScoreMeter, TransformerConfig,
                                init_transformer_params, mhsa_layer,
                                parameter_count, positional_encoding,
                                qkv_project, self_attention)
+from meshact.classifier import batch_logits
 from meshact.engine import Tensor
 from meshact.errors import ConfigError
 
@@ -237,3 +238,45 @@ def test_classify_does_not_touch_grads():
     params = init_transformer_params(cfg, np.random.default_rng(15))
     classify(params, cfg, np.zeros((4, 8), dtype=np.float32))
     assert all(p.grad is None for p in params.values())
+
+
+def _float64_transformer(rng, **kw):
+    cfg = _cfg(**kw)
+    params = init_transformer_params(cfg, rng, dtype=np.float64)
+    for p in params.values():  # give the zero-init tables some signal
+        p.data += rng.standard_normal(p.data.shape) * 0.1
+    return cfg, params
+
+
+@pytest.mark.parametrize("kw", [
+    dict(pe_mode="none"), dict(pe_mode="sinusoidal"),
+    dict(pe_mode="learned", pe_capacity=8),
+    dict(pe_mode="learned", pe_capacity=8, use_class_token=True),
+    dict(pe_mode="sinusoidal", use_class_token=True),
+    dict(use_layernorm=False, use_residual=False, use_ffn=False)])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_batched_forward_matches_per_sequence_forwards(kw, batch, batch_gap):
+    rng = np.random.default_rng(16)
+    cfg, params = _float64_transformer(rng, **kw)
+    seqs = [rng.standard_normal((7, cfg.in_dim)) for _ in range(batch)]
+    labels = rng.integers(0, cfg.n_classes, size=batch)
+
+    def forward(p, t):
+        return forward_sequence(p, cfg, t)
+
+    assert batch_gap(forward, params, seqs, labels) < 1e-12
+
+
+def test_mixed_lengths_match_per_sequence_forwards(batch_gap):
+    rng = np.random.default_rng(17)
+    cfg, params = _float64_transformer(rng, pe_mode="learned",
+                                       pe_capacity=8, use_class_token=True)
+    seqs = [rng.standard_normal((n, cfg.in_dim)) for n in (5, 7, 5, 3)]
+    labels = rng.integers(0, cfg.n_classes, size=len(seqs))
+
+    def forward(p, t):
+        return forward_sequence(p, cfg, t)
+
+    assert batch_gap(forward, params, seqs, labels,
+                     batched=lambda p, s: batch_logits(forward, p, s)) < 1e-12
+

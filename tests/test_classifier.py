@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from meshact import classifier
+from meshact import classifier, engine
 from meshact.attention import TransformerConfig
 from meshact.classifier import (confusion_matrix, evaluate,
                                 head_parameter_counts, make_head,
@@ -41,11 +41,12 @@ def test_make_head_kinds_and_errors():
 
 
 def test_evaluate_counts_matches_manual():
-    # stub head: logit 0 is the mean embedding value, logit 1 its negation,
-    # so the prediction is 0 when the mean is positive
+    # stub head: per sequence of the (B, L, C) batch, logit 0 is the mean
+    # embedding value, logit 1 its negation, so the prediction is 0 when
+    # the mean is positive
     def forward(params, tokens):
-        m = float(tokens.data.mean())
-        return Tensor(np.array([[m, -m]], dtype=np.float32))
+        m = tokens.data.mean(axis=(1, 2))
+        return Tensor(np.stack([m, -m], axis=1))
 
     data = [(np.full((3, 2), 0.5, dtype=np.float32), 0),
             (np.full((3, 2), -0.5, dtype=np.float32), 1),
@@ -164,3 +165,35 @@ def test_head_parameter_counts_table(tmp_path):
     assert lines[0] == "head,frames,param_count"
     assert len(lines) == 1 + len(rows)
     assert lines[1] == f"transformer,8,{dict(by_kind['transformer'])[8]}"
+
+
+def _mixed_set(rng, lengths, c=4):
+    return [(rng.standard_normal((n, c)).astype(np.float32), i % 2)
+            for i, n in enumerate(lengths)]
+
+
+@pytest.mark.parametrize("kind", ["transformer", "lstm", "cnn"])
+def test_evaluate_mixed_lengths_matches_per_sequence(kind):
+    rng = np.random.default_rng(4)
+    data = _mixed_set(rng, (5, 3, 5, 4, 3, 5))
+    params, forward = make_head(kind, _cfg(), rng)
+    acc, preds = evaluate(forward, params, data)
+    one = [forward(params, Tensor(emb)).data[0] for emb, _ in data]
+    assert preds.tolist() == [int(np.argmax(row)) for row in one]
+    assert acc == np.mean([p == label for p, (_, label)
+                           in zip(preds, data)])
+
+
+def test_train_head_mixed_lengths_loss_is_per_sequence_mean():
+    # with lr 0 the parameters stay at their initial values, so the epoch
+    # loss is the mean cross-entropy of the sequences one at a time
+    rng = np.random.default_rng(5)
+    train = _mixed_set(rng, (5, 3, 5, 4, 3, 5, 4))
+    test = _mixed_set(rng, (3, 5, 4))
+    params, forward, metrics = train_head(
+        "lstm", _cfg(), train, test, epochs=1, learning_rate=0.0,
+        decay_rate=1.0, weight_decay=0.0, batch_size=4, seed=3)
+    losses = [engine.cross_entropy(forward(params, Tensor(emb)),
+                                   np.array([label])).item()
+              for emb, label in train]
+    assert metrics[0][1] == pytest.approx(np.mean(losses), rel=1e-6)

@@ -183,3 +183,18 @@ def test_build_hierarchy_rebuild_flag(micro, capsys):
     capsys.readouterr()
     assert run("build-hierarchy", "--rebuild") == 0
     assert capsys.readouterr().out.strip() == "42 → 21 → 11 → 6 → 4"
+
+
+def test_eval_with_other_d_model_exits_2(micro, tmp_path, capsys):
+    run, data, out = micro
+    for command in ("gen-data", "train-spae", "encode", "train-classifier"):
+        assert run(command) == 0
+    capsys.readouterr()
+    other = tmp_path / "wide.cfg"
+    other.write_text(MICRO_CFG.format(cache=tmp_path / "cache")
+                     .replace("d_model = 16", "d_model = 24"))
+    assert cli.main(["eval", "--config", str(other), "--data-dir", data,
+                     "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "parameter 'trf.fc3.weight' has shape (16, 2)" in err
+    assert "needs (24, 2)" in err

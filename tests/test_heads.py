@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from meshact import heads
-from meshact.engine import Tensor
+from meshact import batching, engine, heads
+from meshact.classifier import batch_logits
+from meshact.engine import RowPlan, Tensor
 
 
 def _count(params):
@@ -142,9 +143,81 @@ def test_heads_are_differentiable():
             (heads.init_mlp_params(rng, c, length, 2), heads.mlp_forward),
             (heads.init_lstm_params(rng, c, 2), heads.lstm_forward),
             (heads.init_cnn_params(rng, c, 2), heads.cnn_forward)]:
-        from meshact import engine
         loss = engine.cross_entropy(forward(params, tokens), np.array([1]))
         loss.backward()
         grads = [p.grad for p in params.values()]
         assert all(g is not None for g in grads)
         assert any(np.abs(g).max() > 0 for g in grads)
+
+
+def _float64_heads(rng, c, length, n_classes):
+    return {
+        "mlp": (heads.init_mlp_params(rng, c, length, n_classes,
+                                      dtype=np.float64), heads.mlp_forward),
+        "lstm": (heads.init_lstm_params(rng, c, n_classes, dtype=np.float64),
+                 heads.lstm_forward),
+        "cnn": (heads.init_cnn_params(rng, c, n_classes, dtype=np.float64),
+                heads.cnn_forward)}
+
+
+@pytest.mark.parametrize("kind", ["mlp", "lstm", "cnn"])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_batched_forward_matches_per_sequence_forwards(kind, batch,
+                                                       batch_gap):
+    rng = np.random.default_rng(9)
+    params, forward = _float64_heads(rng, 4, 6, 3)[kind]
+    seqs = [rng.standard_normal((6, 4)) for _ in range(batch)]
+    labels = rng.integers(0, 3, size=batch)
+    assert batch_gap(forward, params, seqs, labels) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["lstm", "cnn"])
+def test_mixed_lengths_match_per_sequence_forwards(kind, batch_gap):
+    rng = np.random.default_rng(10)
+    params, forward = _float64_heads(rng, 4, 6, 3)[kind]
+    seqs = [rng.standard_normal((n, 4)) for n in (4, 6, 4, 5, 6)]
+    labels = rng.integers(0, 3, size=len(seqs))
+    assert batch_gap(forward, params, seqs, labels,
+                     batched=lambda p, s: batch_logits(forward, p, s)) < 1e-12
+
+
+def _graph_size(loss):
+    seen, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+def test_lstm_step_graph_is_one_per_batch():
+    # One graph per sequence, joined by concat_rows, made 10477 tensors for
+    # this 8-sequence step.
+    rng = np.random.default_rng(11)
+    params = heads.init_lstm_params(rng, 16, 3)
+    tokens = Tensor(rng.standard_normal((8, 24, 16)).astype(np.float32))
+    loss = engine.cross_entropy(heads.lstm_forward(params, tokens),
+                                np.arange(8) % 3)
+    assert _graph_size(loss) <= 10477 // 5
+
+
+def test_cnn_builds_one_window_plan_per_batch_shape(monkeypatch):
+    built = []
+    init = RowPlan.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[:2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RowPlan, "__init__", counted)
+    heads.window_plan.cache_clear()
+    batching.mean_plan.cache_clear()
+    rng = np.random.default_rng(12)
+    params = heads.init_cnn_params(rng, 4, 3)
+    tokens = Tensor(rng.standard_normal((8, 7, 4)).astype(np.float32))
+    heads.cnn_forward(params, tokens)
+    # one window plan for all three conv layers, one pooling plan
+    assert sorted(built) == [(8, 56), (56 * heads.CNN_KERNEL, 56)]
+    heads.cnn_forward(params, tokens)
+    assert len(built) == 2
