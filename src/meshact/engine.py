@@ -6,10 +6,17 @@ Design points:
     is implicit in parent links, and creation order is a valid topological
     order (an op's output is always created after its inputs);
   * backward() REPLACES gradients (no cross-call accumulation), seeds the
-    scalar loss with 1, and walks nodes in reverse creation order;
+    scalar loss with 1, and walks nodes in reverse creation order. A
+    tensor's first gradient contribution is stored as is (it may be shared
+    with another tensor, so no gradient is ever written in place); later
+    ones add into a new array, so nothing is zero-filled up front;
   * every forward op verifies its output is finite and raises
     NonFiniteError otherwise, so numeric blowups surface at the op that
-    caused them;
+    caused them. Pure copies (reshape, slices, concatenations, transpose,
+    plain gathers) of op outputs skip the check: their inputs passed it;
+  * fixed-index gathers and sparse operators are RowPlans: a padded slot
+    table per direction, so a backward pass is takes and adds in a fixed
+    order, with no scatter and no sort;
   * single precision is the training default; tests build float64 tensors
     and everything stays in the input dtype (no silent upcasts);
   * no general broadcasting. The few mixed-shape patterns that the models
@@ -20,6 +27,7 @@ Design points:
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -38,7 +46,8 @@ def _ensure_finite(op: str, data: np.ndarray):
 class Tensor:
     """A dense array plus the links needed to differentiate through it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_uid")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "_uid", "_checked")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(),
                  _backward=None):
@@ -50,6 +59,7 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self._uid = next(_UID)
+        self._checked = False     # data passed a finiteness check
 
     @property
     def shape(self):
@@ -73,7 +83,10 @@ class Tensor:
         """Gradient of this scalar w.r.t. every reachable tensor.
 
         Overwrites .grad on all reachable tensors that require gradients;
-        parameters not on any path to this loss end up with zero gradient.
+        a reachable tensor that no contribution reaches ends with zeros.
+        Gradients start as None; the first contribution is stored as is and
+        may share memory with another tensor's gradient, so treat .grad as
+        read-only. A node whose gradient stays None skips its closure.
         """
         if self.data.size != 1:
             raise ValueError(f"backward needs a scalar, got shape {self.shape}")
@@ -89,21 +102,40 @@ class Tensor:
             stack.extend(t._parents)
         order = sorted(visited.values(), key=lambda t: t._uid, reverse=True)
         for t in order:
-            t.grad = np.zeros_like(t.data) if t.requires_grad else None
+            t.grad = None
         self.grad = np.ones_like(self.data)
         for t in order:
-            if t._backward is not None:
+            if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
+        for t in order:
+            if t.requires_grad and t.grad is None:
+                t.grad = np.zeros_like(t.data)
 
 
-def _make(data, op: str, parents, backward_builder):
-    """Wrap an op result; skip graph bookkeeping when nothing needs grads."""
-    _ensure_finite(op, data)
-    needs = any(p.requires_grad for p in parents)
-    if not needs:
-        return Tensor(data)
-    return Tensor(data, requires_grad=True, _parents=tuple(parents),
-                  _backward=backward_builder())
+def _accumulate(t: Tensor, v: np.ndarray):
+    """Add one gradient contribution: the first is kept as is (never
+    written in place afterwards), later ones make a new array."""
+    if t.grad is None:
+        t.grad = np.asarray(v, dtype=t.data.dtype)
+    else:
+        t.grad = np.asarray(t.grad + v, dtype=t.data.dtype)
+
+
+def _make(data, op: str, parents, backward_builder, copy: bool = False):
+    """Wrap an op result; skip graph bookkeeping when nothing needs grads.
+
+    `copy` marks outputs whose values are copies of the inputs', which
+    need no finiteness check when every input was checked already.
+    """
+    if not (copy and all(p._checked for p in parents)):
+        _ensure_finite(op, data)
+    if any(p.requires_grad for p in parents):
+        out = Tensor(data, requires_grad=True, _parents=tuple(parents),
+                     _backward=backward_builder())
+    else:
+        out = Tensor(data)
+    out._checked = True
+    return out
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -129,9 +161,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def build():
         def bwd(g):
             if a.requires_grad:
-                a.grad += g @ _swap(b.data)
+                _accumulate(a, g @ _swap(b.data))
             if b.requires_grad:
-                b.grad += _swap(a.data) @ g
+                _accumulate(b, _swap(a.data) @ g)
         return bwd
     return _make(out_data, "matmul", (a, b), build)
 
@@ -143,9 +175,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def build():
         def bwd(g):
             if a.requires_grad:
-                a.grad += g
+                _accumulate(a, g)
             if b.requires_grad:
-                b.grad += g
+                _accumulate(b, g)
         return bwd
     return _make(a.data + b.data, "add", (a, b), build)
 
@@ -157,9 +189,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def build():
         def bwd(g):
             if a.requires_grad:
-                a.grad += g
+                _accumulate(a, g)
             if b.requires_grad:
-                b.grad -= g
+                _accumulate(b, -g)
         return bwd
     return _make(a.data - b.data, "sub", (a, b), build)
 
@@ -171,9 +203,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def build():
         def bwd(g):
             if a.requires_grad:
-                a.grad += g * b.data
+                _accumulate(a, g * b.data)
             if b.requires_grad:
-                b.grad += g * a.data
+                _accumulate(b, g * a.data)
         return bwd
     return _make(a.data * b.data, "mul", (a, b), build)
 
@@ -184,7 +216,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     def build():
         def bwd(g):
             if a.requires_grad:
-                a.grad += g * s
+                _accumulate(a, g * s)
         return bwd
     return _make(a.data * np.asarray(s, dtype=a.dtype), "scale", (a,), build)
 
@@ -197,9 +229,9 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     def build():
         def bwd(g):
             if x.requires_grad:
-                x.grad += g
+                _accumulate(x, g)
             if b.requires_grad:
-                b.grad += g.sum(axis=0)
+                _accumulate(b, g.sum(axis=0))
         return bwd
     return _make(x.data + b.data[None, :], "add_bias", (x, b), build)
 
@@ -213,9 +245,9 @@ def transpose(a: Tensor) -> Tensor:
     def build():
         def bwd(g):
             if a.requires_grad:
-                a.grad += _swap(g)
+                _accumulate(a, _swap(g))
         return bwd
-    return _make(_swap(a.data).copy(), "transpose", (a,), build)
+    return _make(_swap(a.data).copy(), "transpose", (a,), build, copy=True)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -224,9 +256,9 @@ def reshape(a: Tensor, shape) -> Tensor:
     def build():
         def bwd(g):
             if a.requires_grad:
-                a.grad += g.reshape(a.shape)
+                _accumulate(a, g.reshape(a.shape))
         return bwd
-    return _make(a.data.reshape(shape), "reshape", (a,), build)
+    return _make(a.data.reshape(shape), "reshape", (a,), build, copy=True)
 
 
 # ----------------------------------------------------- structure/index ops
@@ -245,10 +277,10 @@ def concat_rows(tensors) -> Tensor:
         def bwd(g):
             for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
                 if t.requires_grad:
-                    t.grad += g[lo:hi]
+                    _accumulate(t, g[lo:hi])
         return bwd
     return _make(np.concatenate([t.data for t in tensors], axis=0),
-                 "concat_rows", tensors, build)
+                 "concat_rows", tensors, build, copy=True)
 
 
 def concat_cols(tensors) -> Tensor:
@@ -265,20 +297,24 @@ def concat_cols(tensors) -> Tensor:
         def bwd(g):
             for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
                 if t.requires_grad:
-                    t.grad += g[:, lo:hi]
+                    _accumulate(t, g[:, lo:hi])
         return bwd
     return _make(np.concatenate([t.data for t in tensors], axis=1),
-                 "concat_cols", tensors, build)
+                 "concat_cols", tensors, build, copy=True)
 
 
 class RowPlan:
     """A constant sparse (rows x cols) operator on feature rows, planned once.
 
-    COO entries (weights None or all ones: plain copies) are sorted stably
-    by destination row (forward) and by source row (backward) here, so no
-    pass sorts. Copies with at most one entry per output row (spiral
-    windows, vertex selection) run forward as a take from the input padded
-    with one zero row; every other pass is a segment sum.
+    Each direction is one slot table `(idx, w)`: idx is (rows, D), the
+    input rows each output row sums, in COO entry order, padded with the
+    zero row `cols`; w is the (rows, D) weights, or None when all are one
+    (plain copies). Applying a table takes slot k's column of rows from the
+    input padded with one zero row, scales it and adds it, for k in order,
+    so sums are sequential and deterministic by construction; a D=1 copy
+    table (spiral windows, vertex selection) is a single take. `forward`
+    is built here, `backward` (the transpose) on first use, so inference
+    never pays for it.
     """
 
     def __init__(self, rows: int, cols: int, row_idx, col_idx, weights=None):
@@ -287,16 +323,17 @@ class RowPlan:
         col_idx = np.asarray(col_idx, dtype=np.intp)
         if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= cols):
             raise ValueError(f"column index out of range for {cols} rows")
-        if weights is not None and (np.asarray(weights) == 1).all():
-            weights = None
-        self.take = self.forward = None
-        if weights is None and \
-                np.bincount(row_idx, minlength=rows).max(initial=0) <= 1:
-            self.take = np.full(rows, cols, dtype=np.intp)
-            self.take[row_idx] = col_idx
-        else:
-            self.forward = _segments(row_idx, col_idx, weights)
-        self.backward = _segments(col_idx, row_idx, weights)
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if (weights == 1).all():
+                weights = None
+        self._entries = (row_idx, col_idx, weights)
+        self.forward = _slot_table(rows, cols, row_idx, col_idx, weights)
+
+    @functools.cached_property
+    def backward(self):
+        row_idx, col_idx, weights = self._entries
+        return _slot_table(self.cols, self.rows, col_idx, row_idx, weights)
 
     @classmethod
     def gather(cls, indices, input_rows: int) -> "RowPlan":
@@ -309,20 +346,40 @@ class RowPlan:
         return cls(flat.size, input_rows, keep, flat[keep])
 
 
-def _segments(dst, src, weights):
-    """Entries sorted stably by dst: (dst, src, w, segment starts)."""
+def _slot_table(rows: int, cols: int, dst, src, weights):
+    """(rows, D) sources per destination row in entry order, padded with
+    `cols`, and their weights (None for copies); column-major so that each
+    slot's column is contiguous."""
     order = np.argsort(dst, kind="stable")
-    sdst = dst[order]
-    starts = np.flatnonzero(np.diff(sdst, prepend=-1))
-    w = None if weights is None else np.asarray(weights, np.float64)[order]
-    return sdst[starts], src[order], w, starts
+    dst, src = dst[order], src[order]
+    counts = np.bincount(dst, minlength=rows)
+    slot = np.arange(dst.size) - (np.cumsum(counts) - counts)[dst]
+    shape = (rows, max(int(counts.max(initial=0)), 1))
+    idx = np.full(shape, cols, dtype=np.intp, order="F")
+    idx[dst, slot] = src
+    if weights is None:
+        return idx, None
+    w = np.zeros(shape, order="F")
+    w[dst, slot] = weights[order]
+    return idx, w
 
 
-def _segment_add(out, segments, vals):
-    """out[dst] += the segment sums of w * vals[src], in sorted order."""
-    dst, src, w, starts = segments
-    v = vals[src] if w is None else w.astype(vals.dtype)[:, None] * vals[src]
-    out[dst] += np.add.reduceat(v, starts, axis=0)
+def _slot_sum(table, x: np.ndarray) -> np.ndarray:
+    """out[r] = sum over slots k, in order, of w[r, k] * x[idx[r, k]]."""
+    idx, w = table
+    padded = np.concatenate((x, np.zeros((1, x.shape[1]), dtype=x.dtype)))
+    if w is not None:
+        w = w.astype(x.dtype, order="F")
+    out = None
+    for k in range(idx.shape[1]):
+        col = np.take(padded, idx[:, k], axis=0)
+        if w is not None:
+            col *= w[:, k, None]
+        if out is None:
+            out = col
+        else:
+            out += col
+    return out
 
 
 def _apply_plan(plan: RowPlan, x: Tensor, op: str, shape) -> Tensor:
@@ -330,19 +387,16 @@ def _apply_plan(plan: RowPlan, x: Tensor, op: str, shape) -> Tensor:
         raise ValueError(f"{op} needs ({plan.cols}, F) features, "
                          f"got {x.shape}")
     f = x.shape[1]
-    if plan.take is not None:
-        padded = np.concatenate((x.data, np.zeros((1, f), dtype=x.dtype)))
-        out_data = np.take(padded, plan.take, axis=0)
-    else:
-        out_data = np.zeros((plan.rows, f), dtype=x.dtype)
-        _segment_add(out_data, plan.forward, x.data)
+    idx, w = plan.forward
 
     def build():
         def bwd(g):
             if x.requires_grad:
-                _segment_add(x.grad, plan.backward, g.reshape(plan.rows, f))
+                _accumulate(x, _slot_sum(plan.backward,
+                                         g.reshape(plan.rows, f)))
         return bwd
-    return _make(out_data.reshape(shape), op, (x,), build)
+    return _make(_slot_sum(plan.forward, x.data).reshape(shape), op, (x,),
+                 build, copy=w is None and idx.shape[1] == 1)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -354,6 +408,12 @@ def gather_rows(x: Tensor, indices) -> Tensor:
                        np.shape(indices) + x.shape[1:])
 
 
+def _grad_to_write(x: Tensor) -> np.ndarray:
+    """A gradient array of x's own to add a slice into: zeros for the first
+    contribution, else a copy (the current one may be shared)."""
+    return np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+
+
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2 or not 0 <= start < stop <= x.shape[0]:
         raise ValueError(f"slice_rows[{start}:{stop}] invalid for {x.shape}")
@@ -361,9 +421,11 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     def build():
         def bwd(g):
             if x.requires_grad:
+                x.grad = _grad_to_write(x)
                 x.grad[start:stop] += g
         return bwd
-    return _make(x.data[start:stop].copy(), "slice_rows", (x,), build)
+    return _make(x.data[start:stop].copy(), "slice_rows", (x,), build,
+                 copy=True)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -373,9 +435,11 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     def build():
         def bwd(g):
             if x.requires_grad:
+                x.grad = _grad_to_write(x)
                 x.grad[:, start:stop] += g
         return bwd
-    return _make(x.data[:, start:stop].copy(), "slice_cols", (x,), build)
+    return _make(x.data[:, start:stop].copy(), "slice_cols", (x,), build,
+                 copy=True)
 
 
 def sparse_mm(plan: RowPlan, x: Tensor) -> Tensor:
@@ -395,21 +459,20 @@ def elu(x: Tensor) -> Tensor:
 
         def bwd(g):
             if x.requires_grad:
-                x.grad += g * factor
+                _accumulate(x, g * factor)
         return bwd
     return _make(out_data, "elu", (x,), build)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # Branch on sign so exp never overflows.
-    pos = x.data >= 0
-    e = np.exp(np.where(pos, -x.data, x.data))
-    out_data = np.where(pos, 1 / (1 + e), e / (1 + e))
+    # exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below.
+    e = np.exp(-np.abs(x.data))
+    out_data = np.where(x.data >= 0, 1, e) / (1 + e)
 
     def build():
         def bwd(g):
             if x.requires_grad:
-                x.grad += g * out_data * (1 - out_data)
+                _accumulate(x, g * out_data * (1 - out_data))
         return bwd
     return _make(out_data, "sigmoid", (x,), build)
 
@@ -420,7 +483,7 @@ def tanh(x: Tensor) -> Tensor:
     def build():
         def bwd(g):
             if x.requires_grad:
-                x.grad += g * (1 - out_data * out_data)
+                _accumulate(x, g * (1 - out_data * out_data))
         return bwd
     return _make(out_data, "tanh", (x,), build)
 
@@ -439,7 +502,7 @@ def softmax_rows(x: Tensor) -> Tensor:
         def bwd(g):
             if x.requires_grad:
                 dot = (g * out_data).sum(axis=-1, keepdims=True)
-                x.grad += out_data * (g - dot)
+                _accumulate(x, out_data * (g - dot))
         return bwd
     return _make(out_data, "softmax_rows", (x,), build)
 
@@ -462,14 +525,14 @@ def layernorm_rows(x: Tensor, gamma: Tensor, beta: Tensor,
     def build():
         def bwd(g):
             if gamma.requires_grad:
-                gamma.grad += (g * xhat).sum(axis=0)
+                _accumulate(gamma, (g * xhat).sum(axis=0))
             if beta.requires_grad:
-                beta.grad += g.sum(axis=0)
+                _accumulate(beta, g.sum(axis=0))
             if x.requires_grad:
                 dxhat = g * gamma.data[None, :]
                 m1 = dxhat.mean(axis=1, keepdims=True)
                 m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-                x.grad += inv * (dxhat - m1 - xhat * m2)
+                _accumulate(x, inv * (dxhat - m1 - xhat * m2))
         return bwd
     return _make(out_data, "layernorm_rows", (x, gamma, beta), build)
 
@@ -482,7 +545,7 @@ def mean(x: Tensor) -> Tensor:
     def build():
         def bwd(g):
             if x.requires_grad:
-                x.grad += g * np.full_like(x.data, 1.0 / n)
+                _accumulate(x, g * np.full_like(x.data, 1.0 / n))
         return bwd
     return _make(np.asarray(x.data.mean(), dtype=x.dtype), "mean", (x,), build)
 
@@ -496,7 +559,7 @@ def mean_rows(x: Tensor) -> Tensor:
     def build():
         def bwd(g):
             if x.requires_grad:
-                x.grad += np.repeat(g, n, axis=0) / n
+                _accumulate(x, np.repeat(g, n, axis=0) / n)
         return bwd
     return _make(x.data.mean(axis=0, keepdims=True), "mean_rows", (x,), build)
 
@@ -517,9 +580,9 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
 
         def bwd(g):
             if pred.requires_grad:
-                pred.grad += g * sign / n
+                _accumulate(pred, g * sign / n)
             if target.requires_grad:
-                target.grad -= g * sign / n
+                _accumulate(target, -(g * sign / n))
         return bwd
     return _make(np.asarray(np.abs(diff).mean(), dtype=pred.dtype),
                  "l1_loss", (pred, target), build)
@@ -548,7 +611,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
             if logits.requires_grad:
                 d = probs.copy()
                 d[np.arange(n), labels] -= 1
-                logits.grad += g * d / n
+                _accumulate(logits, g * d / n)
         return bwd
     return _make(np.asarray(loss, dtype=logits.dtype), "cross_entropy",
                  (logits,), build)

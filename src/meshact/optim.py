@@ -44,15 +44,24 @@ def adam_step(params: dict, state: AdamState, lr: float,
         m = state.first_moment.get(name)
         v = state.second_moment.get(name)
         if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        state.first_moment[name] = m
-        state.second_moment[name] = v
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.data -= lr * m_hat / np.sqrt(v_hat + eps)
+            m = state.first_moment[name] = np.zeros_like(p.data)
+            v = state.second_moment[name] = np.zeros_like(p.data)
+        # In place, in the order of m = b1*m + (1-b1)*g,
+        # v = b2*v + (1-b2)*g*g, p -= (lr*m_hat) / sqrt(v_hat + eps).
+        step = np.multiply(g, 1.0 - b1, dtype=p.data.dtype)
+        m *= b1
+        m += step
+        np.multiply(g, g, out=step)
+        step *= 1.0 - b2
+        v *= b2
+        v += step
+        np.divide(m, 1.0 - b1 ** t, out=step)
+        step *= lr
+        denom = np.divide(v, 1.0 - b2 ** t)
+        denom += eps
+        np.sqrt(denom, out=denom)
+        step /= denom
+        p.data -= step
 
 
 def lr_decay(lr: float, epoch: int, rate: float) -> float:

@@ -1,12 +1,16 @@
 """Tensor engine: forward semantics vs naive references, backward vs
 finite differences, graph bookkeeping, and numeric guards."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from meshact import engine
+from meshact import engine, spae
 from meshact.engine import Tensor
 from meshact.errors import NonFiniteError
+from meshact.hierarchy import build_hierarchy
+from meshact.topology import icosphere
 from meshact.verify import fd_max_error, op_gradient_cases
 
 
@@ -48,6 +52,27 @@ def test_elu_reference_value():
     assert abs(out[0] - (np.exp(-1.0) - 1.0)) < 1e-15
     assert abs(out[0] + 0.6321205588285577) < 1e-15
     assert out[1] == 0.5
+
+
+def _two_branch_sigmoid(x):
+    pos = x >= 0
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1 / (1 + e), e / (1 + e))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_equals_the_two_branch_formula_bit_for_bit(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    grid = np.concatenate([
+        [0.0, -0.0, 1e3, -1e3, tiny, -tiny, 3 * tiny, -3 * tiny,
+         np.finfo(dtype).tiny, -np.finfo(dtype).tiny],
+        np.linspace(-40, 40, 801)]).astype(dtype)[None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = engine.sigmoid(Tensor(grid)).data
+        ref = _two_branch_sigmoid(grid)
+    assert out.dtype == dtype
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_sigmoid_tanh_references():
@@ -112,17 +137,30 @@ def test_gather_rows_rejects_bad_index():
 
 
 def test_sparse_mm_matches_dense():
-    rng = np.random.default_rng(4)
-    dense = np.zeros((5, 7))
-    row_idx = rng.integers(0, 5, size=12)
-    col_idx = rng.integers(0, 7, size=12)
-    w = rng.standard_normal(12)
-    for r, c, v in zip(row_idx, col_idx, w):
-        dense[r, c] += v
-    x = rng.standard_normal((7, 3))
-    out = engine.sparse_mm(engine.RowPlan(5, 7, row_idx, col_idx, w),
-                           _t(x)).data
-    assert np.abs(out - dense @ x).max() < 1e-12
+    # both directions against the dense operator: out = dense @ x and
+    # x.grad = dense.T @ g, with repeated output rows, duplicate
+    # (row, col) entries, an empty output row (0) and an unreferenced
+    # input row (the last), weighted and not
+    rows, cols, f = 9, 11, 4
+    for seed in range(3):
+        for weighted in (True, False):
+            rng = np.random.default_rng(seed)
+            row_idx = rng.integers(1, rows, size=40)
+            col_idx = rng.integers(0, cols - 1, size=40)
+            row_idx[-3:], col_idx[-3:] = row_idx[0], col_idx[0]
+            w = rng.standard_normal(40) if weighted else np.ones(40)
+            dense = np.zeros((rows, cols))
+            for r, c, v in zip(row_idx, col_idx, w):
+                dense[r, c] += v
+            plan = engine.RowPlan(rows, cols, row_idx, col_idx,
+                                  w if weighted else None)
+            x = _t(rng.standard_normal((cols, f)))
+            g = rng.standard_normal((rows, f))
+            out = engine.sparse_mm(plan, x)
+            engine.mean(engine.mul(out, _t(g * g.size, grad=False))).backward()
+            assert np.abs(out.data - dense @ x.data).max() < 1e-12
+            assert np.abs(x.grad - dense.T @ g).max() < 1e-12
+            assert not out.data[0].any() and not x.grad[-1].any()
 
 
 def test_shape_ops_roundtrip():
@@ -174,6 +212,86 @@ def test_backward_replaces_stale_grad():
     assert np.array_equal(x.grad, first)
 
 
+@pytest.mark.parametrize("reuse", ["scale", "slice_rows", "slice_cols"])
+@pytest.mark.parametrize("reuse_first", [True, False])
+def test_shared_first_gradient_survives_later_contributions(reuse_first,
+                                                            reuse):
+    # add(a, p) hands the same array to a and p; a second path into a
+    # must not change p's gradient, whichever closure runs first
+    rng = np.random.default_rng(6)
+    a, p = _t(rng.standard_normal((2, 3))), _t(rng.standard_normal((2, 3)))
+    w = rng.standard_normal((2, 3))
+    second = {"scale": lambda: engine.scale(a, 3.0),
+              "slice_rows": lambda: engine.slice_rows(a, 0, 2),
+              "slice_cols": lambda: engine.slice_cols(a, 0, 3)}[reuse]
+    if reuse_first:
+        u = second()
+        s = engine.add(a, p)
+    else:
+        s = engine.add(a, p)
+        u = second()
+    loss = engine.add(engine.mean(engine.mul(s, _t(w, grad=False))),
+                      engine.mean(u))
+    loss.backward()
+    extra = 3.0 / 6 if reuse == "scale" else 1.0 / 6
+    assert np.abs(p.grad - w / 6).max() < 1e-15
+    assert np.abs(a.grad - (w / 6 + extra)).max() < 1e-15
+
+
+def test_tensor_no_gradient_reaches_ends_with_zeros():
+    p = _t([[1.0, 2.0]])
+    h = engine.scale(p, 2.0)
+    calls = []
+    inner = h._backward
+    h._backward = lambda g: (calls.append(1), inner(g))
+    # a node that passes no gradient back: p and h are reachable but dead
+    stop = Tensor(h.data.copy(), requires_grad=True, _parents=(h,))
+    x = _t([[3.0, 4.0]])
+    engine.mean(engine.add(x, stop)).backward()
+    assert calls == []
+    assert np.array_equal(h.grad, np.zeros((1, 2)))
+    assert np.array_equal(p.grad, np.zeros((1, 2)))
+    assert np.array_equal(x.grad, np.full((1, 2), 0.5))
+
+
+def test_backward_twice_gives_identical_bytes():
+    rng = np.random.default_rng(8)
+    x = _t(rng.standard_normal((6, 5)))
+    wgt = _t(rng.standard_normal((10, 4)))
+    up = engine.RowPlan(8, 6, [0, 0, 1, 2, 3, 3, 3, 5, 7],
+                        [0, 1, 1, 2, 3, 4, 5, 0, 5], rng.random(9))
+    h = engine.sparse_mm(up, x)
+    win = engine.gather_rows(h, np.array([[0, 1], [2, -1], [7, 7], [1, 3]]))
+    flat = engine.reshape(win, (4, 10))
+    y = engine.sigmoid(engine.matmul(flat, wgt))
+    z = engine.concat_cols([engine.slice_cols(y, 0, 2),
+                            engine.slice_cols(y, 1, 3)])
+    loss = engine.mean(engine.mul(z, engine.slice_rows(
+        engine.concat_rows([z, z]), 2, 6)))
+    grads = []
+    for _ in range(2):
+        loss.backward()
+        grads.append([x.grad.tobytes(), wgt.grad.tobytes()])
+    assert grads[0] == grads[1]
+    assert np.abs(x.grad).max() > 0
+
+
+def test_no_grad_encode_builds_no_backward_table():
+    topo, coords = icosphere(1)
+    h = build_hierarchy(topo, coords, (2.0, 2.0, 2.0, 2.0), (6, 5, 5, 4, 4))
+    params = spae.init_spae_params(h, 8, np.random.default_rng(0))
+    frames = np.repeat(coords[None], 2, axis=0).astype(np.float32)
+    spae.encode_batch(spae.frozen_params(params), h, frames)
+    spirals, downs, ups = h.plans[2]
+    plans = spirals + downs + ups
+    assert all("backward" not in vars(plan) for plan in plans)
+    spae.reconstruction_loss(params, h, frames).backward()
+    # a training step builds the transpose of every plan it uses: all but
+    # the coarsest level's spiral, which no conv reads
+    assert ["backward" in vars(plan) for plan in plans] == \
+        [True] * (len(spirals) - 1) + [False] + [True] * (len(downs) + len(ups))
+
+
 def test_backward_requires_scalar():
     x = _t([[1.0, 2.0]])
     with pytest.raises(ValueError):
@@ -201,6 +319,36 @@ def test_non_finite_results_raise():
             engine.add(big, big)
         with pytest.raises(NonFiniteError):
             engine.mul(big, big)
+
+
+def test_nan_frame_is_caught_at_the_first_reshape():
+    topo, coords = icosphere(1)
+    h = build_hierarchy(topo, coords, (2.0, 2.0, 2.0, 2.0), (6, 5, 5, 4, 4))
+    params = spae.frozen_params(
+        spae.init_spae_params(h, 8, np.random.default_rng(0)))
+    frames = np.repeat(coords[None], 2, axis=0).astype(np.float32)
+    frames[1, 5, 2] = np.nan
+    with pytest.raises(NonFiniteError, match="^reshape produced 1 "):
+        spae.encode_batch(params, h, frames)
+
+
+def test_float32_matmul_overflow_names_matmul():
+    # both inputs are checked op outputs; matmul still checks its own
+    a = engine.reshape(Tensor(np.full((6,), 1e20, dtype=np.float32)), (2, 3))
+    b = engine.reshape(Tensor(np.full((6,), 1e20, dtype=np.float32)), (3, 2))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match="^matmul produced 4 "):
+            engine.matmul(a, b)
+
+
+def test_copies_of_unchecked_leaves_are_checked():
+    bad = Tensor(np.array([[1.0, np.inf]]))
+    for op in (lambda t: engine.reshape(t, (2, 1)), engine.transpose,
+               lambda t: engine.slice_cols(t, 1, 2),
+               lambda t: engine.concat_rows([t]),
+               lambda t: engine.gather_rows(t, np.array([0]))):
+        with pytest.raises(NonFiniteError):
+            op(bad)
 
 
 def test_as_tensor_defaults_to_float32():

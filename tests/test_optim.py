@@ -49,6 +49,36 @@ def test_two_steps_match_reference_loop():
     assert np.abs(p.data - ref).max() < 1e-14
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_steps_equal_the_out_of_place_formula_bit_for_bit(dtype):
+    rng = np.random.default_rng(7)
+    w = rng.standard_normal((5, 4)).astype(dtype)
+    grads = [rng.standard_normal((5, 4)).astype(dtype) for _ in range(3)]
+    lr, wd, b1, b2, eps = 3e-3, 0.02, 0.9, 0.999, 1e-8
+
+    ref = w.copy()
+    m = np.zeros_like(ref)
+    v = np.zeros_like(ref)
+    for t, g in enumerate(grads, start=1):
+        ref *= 1.0 - lr * wd
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        ref -= lr * m_hat / np.sqrt(v_hat + eps)
+
+    p = Tensor(w.copy(), requires_grad=True)
+    state = AdamState()
+    for g in grads:
+        p.grad = g.copy()
+        adam_step({"w": p}, state, lr=lr, weight_decay=wd)
+        assert np.array_equal(p.grad, g)            # read, never written
+    assert p.data.dtype == dtype
+    assert p.data.tobytes() == ref.tobytes()
+    assert state.first_moment["w"].tobytes() == m.tobytes()
+    assert state.second_moment["w"].tobytes() == v.tobytes()
+
+
 def test_zero_gradient_still_decays_weights():
     p = _param([[2.0]])
     p.grad = np.zeros((1, 1))
