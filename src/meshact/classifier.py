@@ -79,7 +79,10 @@ def evaluate(forward, params: dict, dataset) -> tuple:
 def train_head(kind: str, cfg: TransformerConfig, train_set, test_set, *,
                epochs: int, learning_rate: float, decay_rate: float,
                weight_decay: float, batch_size: int, seed: int, log=None):
-    """Returns (params, forward, metrics rows (epoch, train_loss, test_acc))."""
+    """Returns (params, forward, metrics rows (epoch, train_loss, test_acc)).
+
+    Each mini-batch's graph is released before the next one is built.
+    """
     if not train_set:
         raise ValueError("empty training set")
     lengths = {emb.shape[0] for emb, _ in train_set}
@@ -106,6 +109,7 @@ def train_head(kind: str, cfg: TransformerConfig, train_set, test_set, *,
             adam_step(params, state, lr, weight_decay)
             total += loss.item() * len(chosen)
             count += len(chosen)
+            del loss, logits  # build the next graph with this one released
         acc, _ = evaluate(forward, params, test_set)
         metrics.append((epoch, total / count, acc))
         if log is not None:

@@ -8,15 +8,18 @@ Design points:
   * backward() REPLACES gradients (no cross-call accumulation), seeds the
     scalar loss with 1, and walks nodes in reverse creation order. A
     tensor's first gradient contribution is stored as is (it may be shared
-    with another tensor, so no gradient is ever written in place); later
-    ones add into a new array, so nothing is zero-filled up front;
+    with another tensor, so it is never written in place); the second makes
+    an array the tensor owns, and later ones add into that in place, so
+    nothing is zero-filled up front;
   * every forward op verifies its output is finite and raises
     NonFiniteError otherwise, so numeric blowups surface at the op that
     caused them. Pure copies (reshape, slices, concatenations, transpose,
     plain gathers) of op outputs skip the check: their inputs passed it;
-  * fixed-index gathers and sparse operators are RowPlans: a padded slot
-    table per direction, so a backward pass is takes and adds in a fixed
-    order, with no scatter and no sort;
+  * fixed-index gathers and sparse operators are RowPlans: a slot table
+    per direction, in prefix layout (rows sorted by entry count, so slot k
+    covers a prefix of them and needs no padding), so a backward pass is
+    takes and adds in a fixed order, with no scatter, no sort and no copy
+    of the input;
   * single precision is the training default; tests build float64 tensors
     and everything stays in the input dtype (no silent upcasts);
   * no general broadcasting. The few mixed-shape patterns that the models
@@ -47,7 +50,7 @@ class Tensor:
     """A dense array plus the links needed to differentiate through it."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_uid", "_checked")
+                 "_uid", "_checked", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(),
                  _backward=None):
@@ -60,6 +63,7 @@ class Tensor:
         self._backward = _backward
         self._uid = next(_UID)
         self._checked = False     # data passed a finiteness check
+        self._owns_grad = False   # .grad is an array no other tensor holds
 
     @property
     def shape(self):
@@ -102,7 +106,7 @@ class Tensor:
             stack.extend(t._parents)
         order = sorted(visited.values(), key=lambda t: t._uid, reverse=True)
         for t in order:
-            t.grad = None
+            t.grad, t._owns_grad = None, False
         self.grad = np.ones_like(self.data)
         for t in order:
             if t._backward is not None and t.grad is not None:
@@ -113,12 +117,17 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, v: np.ndarray):
-    """Add one gradient contribution: the first is kept as is (never
-    written in place afterwards), later ones make a new array."""
+    """Add one gradient contribution. The first is kept as is: it may be
+    shared, so it is never written in place. The second makes an array of
+    t's own, and later ones add into it in place (`a += v` is bitwise
+    `a + v`)."""
     if t.grad is None:
         t.grad = np.asarray(v, dtype=t.data.dtype)
+    elif t._owns_grad:
+        t.grad += v
     else:
         t.grad = np.asarray(t.grad + v, dtype=t.data.dtype)
+        t._owns_grad = True
 
 
 def _make(data, op: str, parents, backward_builder, copy: bool = False):
@@ -306,15 +315,17 @@ def concat_cols(tensors) -> Tensor:
 class RowPlan:
     """A constant sparse (rows x cols) operator on feature rows, planned once.
 
-    Each direction is one slot table `(idx, w)`: idx is (rows, D), the
-    input rows each output row sums, in COO entry order, padded with the
-    zero row `cols`; w is the (rows, D) weights, or None when all are one
-    (plain copies). Applying a table takes slot k's column of rows from the
-    input padded with one zero row, scales it and adds it, for k in order,
-    so sums are sequential and deterministic by construction; a D=1 copy
-    table (spiral windows, vertex selection) is a single take. `forward`
-    is built here, `backward` (the transpose) on first use, so inference
-    never pays for it.
+    Each direction is one slot table (see `_slot_table`): output rows
+    sorted by descending entry count, and per slot k the input rows (and
+    weights, or None for plain copies) of the k-th COO entry of each row
+    that has one, which are the first n_k sorted rows. Applying a table
+    takes slot k's rows straight from the input, scales them and adds them
+    into the first n_k rows, for k in order, so each row's sum runs in
+    entry order and is deterministic by construction; rows with no entry
+    are zero, and one take restores the row order when the sort moved a
+    row. A copy table with one entry per row (spiral windows, vertex
+    selection) is a single take. `forward` is built here, `backward` (the
+    transpose) on first use, so inference never pays for it.
     """
 
     def __init__(self, rows: int, cols: int, row_idx, col_idx, weights=None):
@@ -328,12 +339,12 @@ class RowPlan:
             if (weights == 1).all():
                 weights = None
         self._entries = (row_idx, col_idx, weights)
-        self.forward = _slot_table(rows, cols, row_idx, col_idx, weights)
+        self.forward = _slot_table(rows, row_idx, col_idx, weights)
 
     @functools.cached_property
     def backward(self):
         row_idx, col_idx, weights = self._entries
-        return _slot_table(self.cols, self.rows, col_idx, row_idx, weights)
+        return _slot_table(self.cols, col_idx, row_idx, weights)
 
     @classmethod
     def gather(cls, indices, input_rows: int) -> "RowPlan":
@@ -346,40 +357,63 @@ class RowPlan:
         return cls(flat.size, input_rows, keep, flat[keep])
 
 
-def _slot_table(rows: int, cols: int, dst, src, weights):
-    """(rows, D) sources per destination row in entry order, padded with
-    `cols`, and their weights (None for copies); column-major so that each
-    slot's column is contiguous."""
+def _slot_table(rows: int, dst, src, weights):
+    """One direction of a plan in prefix layout: (rows, slots, unperm).
+
+    Destination rows are stably sorted by descending entry count, so slot
+    k (each row's k-th entry, in COO entry order) covers the first n_k
+    sorted rows. `slots` holds, per k, the n_k source rows and their
+    weights (None for copies); `unperm` gives each row's sorted position,
+    or is None when the sort moves no row.
+    """
     order = np.argsort(dst, kind="stable")
     dst, src = dst[order], src[order]
     counts = np.bincount(dst, minlength=rows)
     slot = np.arange(dst.size) - (np.cumsum(counts) - counts)[dst]
-    shape = (rows, max(int(counts.max(initial=0)), 1))
-    idx = np.full(shape, cols, dtype=np.intp, order="F")
-    idx[dst, slot] = src
-    if weights is None:
-        return idx, None
-    w = np.zeros(shape, order="F")
-    w[dst, slot] = weights[order]
-    return idx, w
+    by_count = np.argsort(-counts, kind="stable")
+    pos = np.empty(rows, dtype=np.intp)
+    pos[by_count] = np.arange(rows)
+    # entry i goes to place pos[dst[i]] of its slot's run
+    n_k = np.bincount(slot)
+    at = (np.cumsum(n_k) - n_k)[slot] + pos[dst]
+    bounds = np.cumsum(n_k)[:-1]
+    srcs = np.split(_placed(src, at), bounds)
+    ws = [None] * len(srcs) if weights is None else \
+        np.split(_placed(weights[order], at), bounds)
+    unperm = None if (by_count == np.arange(rows)).all() else pos
+    return rows, list(zip(srcs, ws)), unperm
+
+
+def _placed(values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """values[i] moved to position at[i]; `at` is a permutation."""
+    out = np.empty_like(values)
+    out[at] = values
+    return out
 
 
 def _slot_sum(table, x: np.ndarray) -> np.ndarray:
-    """out[r] = sum over slots k, in order, of w[r, k] * x[idx[r, k]]."""
-    idx, w = table
-    padded = np.concatenate((x, np.zeros((1, x.shape[1]), dtype=x.dtype)))
-    if w is not None:
-        w = w.astype(x.dtype, order="F")
-    out = None
-    for k in range(idx.shape[1]):
-        col = np.take(padded, idx[:, k], axis=0)
-        if w is not None:
-            col *= w[:, k, None]
-        if out is None:
-            out = col
+    """out[r] = sum over r's entries, in order, of w * x[src]; rows with no
+    entry are zero. Each slot is taken straight from x and added into the
+    prefix of sorted rows it covers; one take restores the row order."""
+    rows, slots, unperm = table
+    out = np.empty((rows, x.shape[1]), dtype=x.dtype)
+    out[len(slots[0][0]):] = 0
+    buf = None
+    for k, (src, w) in enumerate(slots):
+        n = len(src)
+        if k == 0:
+            part = out[:n]
+        elif buf is None:   # slot 1 covers the most rows after slot 0
+            part = buf = np.empty((n, x.shape[1]), dtype=x.dtype)
         else:
-            out += col
-    return out
+            part = buf[:n]
+        # indices are in range; mode="clip" lets take fill `part` unbuffered
+        np.take(x, src, axis=0, out=part, mode="clip")
+        if w is not None:
+            part *= w.astype(x.dtype)[:, None]
+        if k:
+            out[:n] += part
+    return out if unperm is None else np.take(out, unperm, axis=0)
 
 
 def _apply_plan(plan: RowPlan, x: Tensor, op: str, shape) -> Tensor:
@@ -387,7 +421,7 @@ def _apply_plan(plan: RowPlan, x: Tensor, op: str, shape) -> Tensor:
         raise ValueError(f"{op} needs ({plan.cols}, F) features, "
                          f"got {x.shape}")
     f = x.shape[1]
-    idx, w = plan.forward
+    slots = plan.forward[1]
 
     def build():
         def bwd(g):
@@ -396,7 +430,7 @@ def _apply_plan(plan: RowPlan, x: Tensor, op: str, shape) -> Tensor:
                                          g.reshape(plan.rows, f)))
         return bwd
     return _make(_slot_sum(plan.forward, x.data).reshape(shape), op, (x,),
-                 build, copy=w is None and idx.shape[1] == 1)
+                 build, copy=len(slots) == 1 and slots[0][1] is None)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -409,9 +443,15 @@ def gather_rows(x: Tensor, indices) -> Tensor:
 
 
 def _grad_to_write(x: Tensor) -> np.ndarray:
-    """A gradient array of x's own to add a slice into: zeros for the first
-    contribution, else a copy (the current one may be shared)."""
-    return np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+    """x's gradient as an array of its own to add a slice into: zeros for
+    the first contribution, a copy of a shared one, else the array itself,
+    so a tensor sliced many times copies its gradient at most once."""
+    if x.grad is None:
+        x.grad = np.zeros_like(x.data)
+    elif not x._owns_grad:
+        x.grad = x.grad.copy()
+    x._owns_grad = True
+    return x.grad
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -421,8 +461,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     def build():
         def bwd(g):
             if x.requires_grad:
-                x.grad = _grad_to_write(x)
-                x.grad[start:stop] += g
+                _grad_to_write(x)[start:stop] += g
         return bwd
     return _make(x.data[start:stop].copy(), "slice_rows", (x,), build,
                  copy=True)
@@ -435,8 +474,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     def build():
         def bwd(g):
             if x.requires_grad:
-                x.grad = _grad_to_write(x)
-                x.grad[:, start:stop] += g
+                _grad_to_write(x)[:, start:stop] += g
         return bwd
     return _make(x.data[:, start:stop].copy(), "slice_cols", (x,), build,
                  copy=True)
@@ -451,11 +489,12 @@ def sparse_mm(plan: RowPlan, x: Tensor) -> Tensor:
 # ----------------------------------------------------------- nonlinearities
 
 def elu(x: Tensor) -> Tensor:
-    out_data = np.where(x.data > 0, x.data, np.expm1(x.data))
+    # Branch-free: expm1(x) >= x for x <= 0, and the max picks x above 0.
+    out_data = np.expm1(np.minimum(x.data, 0))
+    np.maximum(out_data, x.data, out=out_data)
 
     def build():
-        factor = np.where(x.data > 0,
-                          np.asarray(1, dtype=x.dtype), out_data + 1)
+        factor = np.minimum(out_data, 0) + 1
 
         def bwd(g):
             if x.requires_grad:

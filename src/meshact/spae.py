@@ -201,8 +201,10 @@ def train_spae(frames: np.ndarray, hierarchy: MeshHierarchy, *,
     """Reconstruction training over individual (already normalized) frames.
 
     Returns (params, AdamState, per-epoch mean loss list). Frames are
-    shuffled each epoch; the learning rate decays per epoch. A non-finite
-    loss aborts with the epoch/iteration in the message.
+    shuffled each epoch; the learning rate decays per epoch. Each step's
+    graph is released before the next one is built, so one graph and its
+    gradients are alive at a time. A non-finite loss aborts with the
+    epoch/iteration in the message.
     """
     frames = np.asarray(frames, dtype=np.float32)
     if frames.ndim != 3 or len(frames) == 0:
@@ -227,6 +229,7 @@ def train_spae(frames: np.ndarray, hierarchy: MeshHierarchy, *,
             adam_step(params, state, lr, weight_decay)
             total += loss.item() * len(batch)
             count += len(batch)
+            del loss      # build the next graph with this one released
         curve.append(total / count)
         if log is not None:
             log(epoch, curve[-1])

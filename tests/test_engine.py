@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from meshact import engine, spae
+from meshact import engine, heads, spae
 from meshact.engine import Tensor
 from meshact.errors import NonFiniteError
 from meshact.hierarchy import build_hierarchy
@@ -52,6 +52,31 @@ def test_elu_reference_value():
     assert abs(out[0] - (np.exp(-1.0) - 1.0)) < 1e-15
     assert abs(out[0] + 0.6321205588285577) < 1e-15
     assert out[1] == 0.5
+
+
+def _two_where_elu(x):
+    with np.errstate(over="ignore"):
+        out = np.where(x > 0, x, np.expm1(x))
+    return out, np.where(x > 0, np.asarray(1, dtype=x.dtype), out + 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_elu_equals_the_two_where_forms_bit_for_bit(dtype):
+    info = np.finfo(dtype)
+    edges = np.array([0.0, 1.0, 1e3, 88.0, info.smallest_subnormal,
+                      3 * info.smallest_subnormal, info.tiny / 4, info.tiny,
+                      info.max], dtype=dtype)
+    grid = np.concatenate([edges, -edges, np.linspace(-40, 40, 801)]
+                          ).astype(dtype)[None, :]
+    x = Tensor(grid, requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = engine.elu(x)
+        out._backward(np.ones_like(grid))     # x.grad is the factor itself
+    ref_out, ref_factor = _two_where_elu(grid)
+    assert out.dtype == x.grad.dtype == dtype
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert x.grad.tobytes() == ref_factor.tobytes()
 
 
 def _two_branch_sigmoid(x):
@@ -163,6 +188,75 @@ def test_sparse_mm_matches_dense():
             assert not out.data[0].any() and not x.grad[-1].any()
 
 
+def _padded_slot_sum(rows, cols, dst, src, weights, x):
+    """The padded slot sum: per output row its entries in COO order, padded
+    to the longest row with a zero input row, summed slot by slot."""
+    order = np.argsort(dst, kind="stable")
+    dst, src = dst[order], src[order]
+    counts = np.bincount(dst, minlength=rows)
+    slot = np.arange(dst.size) - (np.cumsum(counts) - counts)[dst]
+    width = max(int(counts.max(initial=0)), 1)
+    idx = np.full((rows, width), cols)
+    idx[dst, slot] = src
+    if weights is not None:
+        w = np.zeros((rows, width))
+        w[dst, slot] = weights[order]
+    padded = np.concatenate((x, np.zeros((1, x.shape[1]), dtype=x.dtype)))
+    out = None
+    for k in range(width):
+        col = padded[idx[:, k]]
+        if weights is not None:
+            col *= w[:, k, None].astype(x.dtype)
+        out = col if out is None else out + col
+    return out
+
+
+def _coo_cases(rng):
+    """(name, rows, cols, row_idx, col_idx, weights) plans: repeated rows,
+    duplicate entries, empty output rows, unreferenced input rows, -1
+    gathers, and rows already in descending entry count."""
+    rows, cols = 9, 11
+    r = rng.integers(1, rows, size=40)
+    c = rng.integers(0, cols - 1, size=40)
+    r[-3:], c[-3:] = r[0], c[0]
+    w = rng.standard_normal(40)
+    flat = rng.integers(-1, cols, size=30)
+    flat[0] = -1
+    keep = np.flatnonzero(flat >= 0)
+    perm = rng.permutation(cols)
+    counts = np.sort(rng.integers(0, 4, size=rows))[::-1]
+    sorted_r = rng.permutation(np.repeat(np.arange(rows), counts))
+    sorted_c = rng.integers(0, cols, size=sorted_r.size)
+    return [("weighted", rows, cols, r, c, w),
+            ("unweighted", rows, cols, r, c, None),
+            ("gather with -1", flat.size, cols, keep, flat[keep], None),
+            ("permutation", cols, cols, np.arange(cols), perm, None),
+            ("descending counts", rows, cols, sorted_r, sorted_c,
+             rng.standard_normal(sorted_r.size))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(3))
+def test_slot_sums_equal_the_padded_slot_sum(seed, dtype):
+    rng = np.random.default_rng(seed)
+    moved = set()
+    for name, rows, cols, r, c, w in _coo_cases(rng):
+        plan = engine.RowPlan(rows, cols, r, c, w)
+        x = Tensor(rng.standard_normal((cols, 3)).astype(dtype),
+                   requires_grad=True)
+        g = rng.standard_normal((rows, 3)).astype(dtype)
+        out = engine.sparse_mm(plan, x)
+        out._backward(g)
+        assert out.dtype == x.grad.dtype == dtype
+        ref_out = _padded_slot_sum(rows, cols, r, c, w, x.data)
+        ref_grad = _padded_slot_sum(cols, rows, c, r, w, g)
+        assert np.array_equal(out.data, ref_out), name
+        assert np.array_equal(x.grad, ref_grad), name
+        moved.update(table[2] is not None
+                     for table in (plan.forward, plan.backward))
+    assert moved == {True, False}      # both row orders were exercised
+
+
 def test_shape_ops_roundtrip():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 8))
@@ -236,6 +330,31 @@ def test_shared_first_gradient_survives_later_contributions(reuse_first,
     extra = 3.0 / 6 if reuse == "scale" else 1.0 / 6
     assert np.abs(p.grad - w / 6).max() < 1e-15
     assert np.abs(a.grad - (w / 6 + extra)).max() < 1e-15
+
+
+def test_lstm_backward_copies_each_sliced_gradient_at_most_once(
+        monkeypatch):
+    # every step slices the (L*B, 4H) input projection; a shared gradient
+    # may be copied once before the slices write into it, never per slice
+    writes, copies = {}, {}
+    to_write = engine._grad_to_write
+
+    def counted(x):
+        before = x.grad
+        own = to_write(x)
+        writes[id(x)] = writes.get(id(x), 0) + 1
+        copies[id(x)] = copies.get(id(x), 0) + (
+            before is not None and own is not before)
+        return own
+    monkeypatch.setattr(engine, "_grad_to_write", counted)
+    rng = np.random.default_rng(9)
+    params = heads.init_lstm_params(rng, 4, 3)
+    tokens = Tensor(rng.standard_normal((2, 24, 4)).astype(np.float32))
+    loss = engine.cross_entropy(heads.lstm_forward(params, tokens),
+                                np.array([0, 2]))
+    loss.backward()
+    assert max(writes.values()) >= 24
+    assert max(copies.values()) <= 1
 
 
 def test_tensor_no_gradient_reaches_ends_with_zeros():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,28 @@ def test_training_is_deterministic():
     _, _, c1 = spae.train_spae(frames, h, **kw)
     _, _, c2 = spae.train_spae(frames, h, **kw)
     assert c1 == c2
+
+
+def test_training_holds_one_graph_at_a_time():
+    # the peak of three steps is one step's: each graph and its gradients
+    # are released before the next forward builds another
+    topo, coords = icosphere(2)
+    h = build_hierarchy(topo, coords, (2.0, 2.0, 2.0, 2.0), (12, 11, 10, 9, 8))
+    rng = np.random.default_rng(10)
+    frames = (coords + rng.standard_normal((24,) + coords.shape) * 0.02
+              ).astype(np.float32)
+    kw = dict(latent_dim=16, epochs=1, batch_size=8, learning_rate=1e-3,
+              decay_rate=0.99, weight_decay=0.0, seed=3)
+    spae.train_spae(frames[:8], h, **kw)    # builds plans and their transposes
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            spae.train_spae(frames[:n], h, **kw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(24) <= 1.2 * peak(8)
 
 
 def test_embeddings_file_roundtrip(tmp_path):
