@@ -3,9 +3,9 @@
 Tokens are rows: a mini-batch of B sequences of L tokens is one stack of
 B*L rows (see batching.py), and each head scores it as a (B, L, L) batch.
 Scores are Q K^T / sqrt(C_k), softmaxed per query row.
-Standard transformer scaffolding (residuals, pre-layer-norm, position-wise
-feed-forward) is included for trainability and individually toggleable so
-the bare attention stack can be studied on its own.
+Each layer is a standard pre-layer-norm block for trainability: residual
+attention, then a residual position-wise feed-forward, with a final layer
+norm before pooling.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .engine import Tensor
 from .errors import ConfigError
 from .optim import glorot_uniform, ones_param, zeros_param
 
+PE_MODES = ("none", "sinusoidal", "learned")
+
 
 @dataclass(frozen=True)
 class TransformerConfig:
@@ -28,15 +30,12 @@ class TransformerConfig:
     d_model: int = 128
     heads: tuple = (2, 2, 2)
     ff_mult: int = 2
-    pe_mode: str = "sinusoidal"      # none | sinusoidal | learned
+    pe_mode: str = "sinusoidal"      # one of PE_MODES
     pe_capacity: int = 192           # learned-table rows
-    use_residual: bool = True
-    use_ffn: bool = True
-    use_layernorm: bool = True
     use_class_token: bool = False
 
     def __post_init__(self):
-        if self.pe_mode not in ("none", "sinusoidal", "learned"):
+        if self.pe_mode not in PE_MODES:
             raise ConfigError(f"unknown positional encoding {self.pe_mode!r}")
         for h in self.heads:
             if self.d_model % h:
@@ -65,23 +64,19 @@ def init_transformer_params(cfg: TransformerConfig,
                     rng, d, dk, dtype=dtype)
         p[f"trf.layer{i}.proj.weight"] = glorot_uniform(rng, d, d, dtype=dtype)
         p[f"trf.layer{i}.proj.bias"] = zeros_param((d,), dtype=dtype)
-        if cfg.use_layernorm:
-            p[f"trf.layer{i}.ln1.gamma"] = ones_param((d,), dtype=dtype)
-            p[f"trf.layer{i}.ln1.beta"] = zeros_param((d,), dtype=dtype)
-        if cfg.use_ffn:
-            hidden = cfg.ff_mult * d
-            p[f"trf.layer{i}.ff1.weight"] = glorot_uniform(rng, d, hidden,
-                                                           dtype=dtype)
-            p[f"trf.layer{i}.ff1.bias"] = zeros_param((hidden,), dtype=dtype)
-            p[f"trf.layer{i}.ff2.weight"] = glorot_uniform(rng, hidden, d,
-                                                           dtype=dtype)
-            p[f"trf.layer{i}.ff2.bias"] = zeros_param((d,), dtype=dtype)
-            if cfg.use_layernorm:
-                p[f"trf.layer{i}.ln2.gamma"] = ones_param((d,), dtype=dtype)
-                p[f"trf.layer{i}.ln2.beta"] = zeros_param((d,), dtype=dtype)
-    if cfg.use_layernorm:
-        p["trf.final_ln.gamma"] = ones_param((d,), dtype=dtype)
-        p["trf.final_ln.beta"] = zeros_param((d,), dtype=dtype)
+        p[f"trf.layer{i}.ln1.gamma"] = ones_param((d,), dtype=dtype)
+        p[f"trf.layer{i}.ln1.beta"] = zeros_param((d,), dtype=dtype)
+        hidden = cfg.ff_mult * d
+        p[f"trf.layer{i}.ff1.weight"] = glorot_uniform(rng, d, hidden,
+                                                       dtype=dtype)
+        p[f"trf.layer{i}.ff1.bias"] = zeros_param((hidden,), dtype=dtype)
+        p[f"trf.layer{i}.ff2.weight"] = glorot_uniform(rng, hidden, d,
+                                                       dtype=dtype)
+        p[f"trf.layer{i}.ff2.bias"] = zeros_param((d,), dtype=dtype)
+        p[f"trf.layer{i}.ln2.gamma"] = ones_param((d,), dtype=dtype)
+        p[f"trf.layer{i}.ln2.beta"] = zeros_param((d,), dtype=dtype)
+    p["trf.final_ln.gamma"] = ones_param((d,), dtype=dtype)
+    p["trf.final_ln.beta"] = zeros_param((d,), dtype=dtype)
     p["trf.fc3.weight"] = glorot_uniform(rng, d, cfg.n_classes, dtype=dtype)
     p["trf.fc3.bias"] = zeros_param((cfg.n_classes,), dtype=dtype)
     return p
@@ -142,8 +137,7 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return engine.matmul(attention_weights(q, k), v)
 
 
-def positional_encoding(length: int, d_model: int, mode: str,
-                        params: dict = None) -> np.ndarray:
+def positional_encoding(length: int, d_model: int, mode: str) -> np.ndarray:
     """Per-position signal added to tokens before the first layer.
 
     Sinusoidal: even columns sin(pos/10000^(col/d)), odd columns cos of the
@@ -164,12 +158,11 @@ def positional_encoding(length: int, d_model: int, mode: str,
 
 def mhsa_layer(x: Tensor, params: dict, cfg: TransformerConfig,
                layer: int, batch: int = 1) -> Tensor:
-    """One attention block over (B*L, d) rows: heads -> concat ->
-    projection (+ extras). Each head attends within its own sequence."""
-    h = x
-    if cfg.use_layernorm:
-        h = engine.layernorm_rows(h, params[f"trf.layer{layer}.ln1.gamma"],
-                                  params[f"trf.layer{layer}.ln1.beta"])
+    """One block over (B*L, d) rows: layer norm -> heads -> concat ->
+    projection, added to x; then layer norm -> feed-forward, added again.
+    Each head attends within its own sequence."""
+    h = engine.layernorm_rows(x, params[f"trf.layer{layer}.ln1.gamma"],
+                              params[f"trf.layer{layer}.ln1.beta"])
     rows = x.shape[0]
     outs = []
     for j in range(cfg.heads[layer]):
@@ -184,19 +177,15 @@ def mhsa_layer(x: Tensor, params: dict, cfg: TransformerConfig,
         engine.matmul(engine.concat_cols(outs),
                       params[f"trf.layer{layer}.proj.weight"]),
         params[f"trf.layer{layer}.proj.bias"])
-    x = engine.add(x, attn) if cfg.use_residual else attn
-    if not cfg.use_ffn:
-        return x
-    h2 = x
-    if cfg.use_layernorm:
-        h2 = engine.layernorm_rows(h2, params[f"trf.layer{layer}.ln2.gamma"],
-                                   params[f"trf.layer{layer}.ln2.beta"])
+    x = engine.add(x, attn)
+    h2 = engine.layernorm_rows(x, params[f"trf.layer{layer}.ln2.gamma"],
+                               params[f"trf.layer{layer}.ln2.beta"])
     f = engine.elu(engine.add_bias(
         engine.matmul(h2, params[f"trf.layer{layer}.ff1.weight"]),
         params[f"trf.layer{layer}.ff1.bias"]))
     f = engine.add_bias(engine.matmul(f, params[f"trf.layer{layer}.ff2.weight"]),
                         params[f"trf.layer{layer}.ff2.bias"])
-    return engine.add(x, f) if cfg.use_residual else f
+    return engine.add(x, f)
 
 
 def forward_sequence(params: dict, cfg: TransformerConfig,
@@ -225,9 +214,8 @@ def forward_sequence(params: dict, cfg: TransformerConfig,
         x = engine.add(x, Tensor(np.tile(pe.astype(x.data.dtype), (batch, 1))))
     for i in range(len(cfg.heads)):
         x = mhsa_layer(x, params, cfg, i, batch)
-    if cfg.use_layernorm:
-        x = engine.layernorm_rows(x, params["trf.final_ln.gamma"],
-                                  params["trf.final_ln.beta"])
+    x = engine.layernorm_rows(x, params["trf.final_ln.gamma"],
+                              params["trf.final_ln.beta"])
     pooled = engine.sparse_mm(
         batching.first_row_plan(batch, length) if cfg.use_class_token
         else batching.mean_plan(batch, length), x)

@@ -15,15 +15,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import classifier as clf
 from . import spae as spae_mod
+from .attention import PE_MODES
 from .checkpoint import load_checkpoint, params_from_arrays, save_checkpoint
 from .config import RunConfig, make_config, stage_seed, transformer_config
 from .errors import ConfigError, FormatError, MeshError, NonFiniteError
-from .hierarchy import build_hierarchy, cache_dir, get_hierarchy
+from .hierarchy import get_hierarchy
 from .sequence import (NormStats, apply_norm, compute_norm_stats,
                        load_sequence, read_manifest, save_sequence,
                        subject_split, uniform_sample_frames, write_manifest)
@@ -88,25 +90,24 @@ def run_gen_data(cfg: RunConfig):
 
 def run_build_hierarchy(cfg: RunConfig, rebuild: bool = False):
     topo, coords = resolve_template(cfg.template)
-    root = cache_dir(cfg.cache_dir or None)
-    if rebuild:
-        h = build_hierarchy(topo, coords, cfg.factors, cfg.spiral_lengths)
-        from .hierarchy import CACHE_FILENAME, save_hierarchy
-        os.makedirs(root, exist_ok=True)
-        save_hierarchy(os.path.join(root, CACHE_FILENAME), h)
-    else:
-        h = get_hierarchy(topo, coords, cfg.factors, cfg.spiral_lengths,
-                          cache_root=root)
-    return h
+    return get_hierarchy(topo, coords, cfg.factors, cfg.spiral_lengths,
+                         cache_root=cfg.cache_dir or None, rebuild=rebuild)
 
 
 def _load_split(cfg: RunConfig):
-    """Manifest -> (train rows, test rows), subject-disjoint."""
+    """Manifest -> (train rows, test rows): subject-disjoint, nonempty."""
     manifest = _require(_manifest_path(cfg), "gen-data")
     rows = read_manifest(manifest)
     if not rows:
         raise ConfigError(f"{manifest} lists no sequences")
-    return subject_split(rows, cfg.split_fraction, stage_seed(cfg.seed, "split"))
+    train, test = subject_split(rows, cfg.split_fraction,
+                                stage_seed(cfg.seed, "split"))
+    if not (train and test):
+        raise ConfigError(
+            f"{len({r['subject_id'] for r in rows})} subject(s) at "
+            f"split_fraction {cfg.split_fraction} leave the "
+            f"{'test' if train else 'train'} split empty")
+    return train, test
 
 
 def _load_sampled(cfg: RunConfig, rows, checksum: int):
@@ -227,7 +228,7 @@ def run_sweep_frames(cfg: RunConfig, log=None):
     train_rows, test_rows = _load_split(cfg)
     results = []
     for n in cfg.sweep_frames:
-        sub = _replace(cfg, frames=n)
+        sub = replace(cfg, frames=n)
         splits = []
         for rows in (train_rows, test_rows):
             seqs = _load_sampled(sub, rows, hierarchy.source_checksum)
@@ -263,7 +264,7 @@ def run_sweep_heads(cfg: RunConfig, log=None):
     in_dim = train[0][0].shape[1]
     results = []
     for head_counts in cfg.sweep_heads:
-        sub = _replace(cfg, heads=tuple(head_counts))
+        sub = replace(cfg, heads=tuple(head_counts))
         tcfg = transformer_config(sub, in_dim)
         _, _, metrics = clf.train_head(
             "transformer", tcfg, train, test,
@@ -283,11 +284,6 @@ def run_sweep_heads(cfg: RunConfig, log=None):
     return results
 
 
-def _replace(cfg: RunConfig, **kw) -> RunConfig:
-    from dataclasses import replace
-    return replace(cfg, **kw)
-
-
 # ------------------------------------------------------------ command layer
 
 def _add_common(sub: argparse.ArgumentParser):
@@ -295,9 +291,9 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--seed", type=int, help="root random seed")
     sub.add_argument("--frames", type=int, help="frames sampled per sequence")
     sub.add_argument("--heads", help="attention heads per layer, e.g. 2,2,2")
-    sub.add_argument("--pe", choices=("none", "sinusoidal", "learned"),
+    sub.add_argument("--pe", choices=PE_MODES,
                      help="positional encoding mode")
-    sub.add_argument("--head", choices=("transformer", "mlp", "lstm", "cnn"),
+    sub.add_argument("--head", choices=clf.HEAD_KINDS,
                      help="temporal head to train/evaluate")
     sub.add_argument("--out", metavar="DIR", help="output directory")
     sub.add_argument("--data-dir", metavar="DIR", help="dataset directory")

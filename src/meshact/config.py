@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .attention import TransformerConfig
+from .attention import PE_MODES, TransformerConfig
+from .classifier import HEAD_KINDS
 from .errors import ConfigError
 
 
@@ -154,9 +155,9 @@ def _validate(cfg: RunConfig):
         raise ConfigError(
             f"{len(cfg.factors)} factors imply {len(cfg.factors) + 1} levels; "
             f"got {len(cfg.spiral_lengths)} spiral lengths")
-    if cfg.head not in ("transformer", "mlp", "lstm", "cnn"):
+    if cfg.head not in HEAD_KINDS:
         raise ConfigError(f"unknown head {cfg.head!r}")
-    if cfg.pe not in ("none", "sinusoidal", "learned"):
+    if cfg.pe not in PE_MODES:
         raise ConfigError(f"unknown positional encoding {cfg.pe!r}")
 
 

@@ -5,6 +5,10 @@ Design points:
   * every op is a module-level function producing a new Tensor; the graph
     is implicit in parent links, and creation order is a valid topological
     order (an op's output is always created after its inputs);
+  * an op is its output plus one backward closure, which adds the op's
+    gradient into each input that requires one. `_make` attaches it only
+    when a parent requires a gradient, and values that only backward reads
+    are computed inside it, so a no-grad forward computes none of them;
   * backward() REPLACES gradients (no cross-call accumulation), seeds the
     scalar loss with 1, and walks nodes in reverse creation order. A
     tensor's first gradient contribution is stored as is (it may be shared
@@ -130,17 +134,16 @@ def _accumulate(t: Tensor, v: np.ndarray):
         t._owns_grad = True
 
 
-def _make(data, op: str, parents, backward_builder, copy: bool = False):
-    """Wrap an op result; skip graph bookkeeping when nothing needs grads.
-
-    `copy` marks outputs whose values are copies of the inputs', which
-    need no finiteness check when every input was checked already.
-    """
+def _make(data, op: str, parents, backward, copy: bool = False):
+    """Wrap an op result; keep `backward(g)` and the parent links only when
+    a parent requires a gradient, so a one-input closure needs no check.
+    `copy` marks outputs that copy their inputs' values: they need no
+    finiteness check when every input was checked already."""
     if not (copy and all(p._checked for p in parents)):
         _ensure_finite(op, data)
     if any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True, _parents=tuple(parents),
-                     _backward=backward_builder())
+                     _backward=backward)
     else:
         out = Tensor(data)
     out._checked = True
@@ -167,67 +170,56 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
 
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                _accumulate(a, g @ _swap(b.data))
-            if b.requires_grad:
-                _accumulate(b, _swap(a.data) @ g)
-        return bwd
-    return _make(out_data, "matmul", (a, b), build)
+    def bwd(g):
+        if a.requires_grad:
+            _accumulate(a, g @ _swap(b.data))
+        if b.requires_grad:
+            _accumulate(b, _swap(a.data) @ g)
+    return _make(out_data, "matmul", (a, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
 
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                _accumulate(a, g)
-            if b.requires_grad:
-                _accumulate(b, g)
-        return bwd
-    return _make(a.data + b.data, "add", (a, b), build)
+    def bwd(g):
+        if a.requires_grad:
+            _accumulate(a, g)
+        if b.requires_grad:
+            _accumulate(b, g)
+    return _make(a.data + b.data, "add", (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"sub shape mismatch: {a.shape} vs {b.shape}")
 
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                _accumulate(a, g)
-            if b.requires_grad:
-                _accumulate(b, -g)
-        return bwd
-    return _make(a.data - b.data, "sub", (a, b), build)
+    def bwd(g):
+        if a.requires_grad:
+            _accumulate(a, g)
+        if b.requires_grad:
+            _accumulate(b, -g)
+    return _make(a.data - b.data, "sub", (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
 
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                _accumulate(a, g * b.data)
-            if b.requires_grad:
-                _accumulate(b, g * a.data)
-        return bwd
-    return _make(a.data * b.data, "mul", (a, b), build)
+    def bwd(g):
+        if a.requires_grad:
+            _accumulate(a, g * b.data)
+        if b.requires_grad:
+            _accumulate(b, g * a.data)
+    return _make(a.data * b.data, "mul", (a, b), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
 
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                _accumulate(a, g * s)
-        return bwd
-    return _make(a.data * np.asarray(s, dtype=a.dtype), "scale", (a,), build)
+    def bwd(g):
+        _accumulate(a, g * s)
+    return _make(a.data * np.asarray(s, dtype=a.dtype), "scale", (a,), bwd)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -235,14 +227,12 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
         raise ValueError(f"add_bias shape mismatch: {x.shape} + {b.shape}")
 
-    def build():
-        def bwd(g):
-            if x.requires_grad:
-                _accumulate(x, g)
-            if b.requires_grad:
-                _accumulate(b, g.sum(axis=0))
-        return bwd
-    return _make(x.data + b.data[None, :], "add_bias", (x, b), build)
+    def bwd(g):
+        if x.requires_grad:
+            _accumulate(x, g)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
+    return _make(x.data + b.data[None, :], "add_bias", (x, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -251,23 +241,17 @@ def transpose(a: Tensor) -> Tensor:
         raise ValueError(f"transpose needs a matrix or a batch of them, "
                          f"got shape {a.shape}")
 
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                _accumulate(a, _swap(g))
-        return bwd
-    return _make(_swap(a.data).copy(), "transpose", (a,), build, copy=True)
+    def bwd(g):
+        _accumulate(a, _swap(g))
+    return _make(_swap(a.data).copy(), "transpose", (a,), bwd, copy=True)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
 
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                _accumulate(a, g.reshape(a.shape))
-        return bwd
-    return _make(a.data.reshape(shape), "reshape", (a,), build, copy=True)
+    def bwd(g):
+        _accumulate(a, g.reshape(a.shape))
+    return _make(a.data.reshape(shape), "reshape", (a,), bwd, copy=True)
 
 
 # ----------------------------------------------------- structure/index ops
@@ -282,14 +266,12 @@ def concat_rows(tensors) -> Tensor:
     counts = [t.shape[0] for t in tensors]
     offsets = np.cumsum([0] + counts)
 
-    def build():
-        def bwd(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    _accumulate(t, g[lo:hi])
-        return bwd
+    def bwd(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                _accumulate(t, g[lo:hi])
     return _make(np.concatenate([t.data for t in tensors], axis=0),
-                 "concat_rows", tensors, build, copy=True)
+                 "concat_rows", tensors, bwd, copy=True)
 
 
 def concat_cols(tensors) -> Tensor:
@@ -302,14 +284,12 @@ def concat_cols(tensors) -> Tensor:
     widths = [t.shape[1] for t in tensors]
     offsets = np.cumsum([0] + widths)
 
-    def build():
-        def bwd(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    _accumulate(t, g[:, lo:hi])
-        return bwd
+    def bwd(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                _accumulate(t, g[:, lo:hi])
     return _make(np.concatenate([t.data for t in tensors], axis=1),
-                 "concat_cols", tensors, build, copy=True)
+                 "concat_cols", tensors, bwd, copy=True)
 
 
 class RowPlan:
@@ -423,14 +403,10 @@ def _apply_plan(plan: RowPlan, x: Tensor, op: str, shape) -> Tensor:
     f = x.shape[1]
     slots = plan.forward[1]
 
-    def build():
-        def bwd(g):
-            if x.requires_grad:
-                _accumulate(x, _slot_sum(plan.backward,
-                                         g.reshape(plan.rows, f)))
-        return bwd
+    def bwd(g):
+        _accumulate(x, _slot_sum(plan.backward, g.reshape(plan.rows, f)))
     return _make(_slot_sum(plan.forward, x.data).reshape(shape), op, (x,),
-                 build, copy=len(slots) == 1 and slots[0][1] is None)
+                 bwd, copy=len(slots) == 1 and slots[0][1] is None)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -458,12 +434,9 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2 or not 0 <= start < stop <= x.shape[0]:
         raise ValueError(f"slice_rows[{start}:{stop}] invalid for {x.shape}")
 
-    def build():
-        def bwd(g):
-            if x.requires_grad:
-                _grad_to_write(x)[start:stop] += g
-        return bwd
-    return _make(x.data[start:stop].copy(), "slice_rows", (x,), build,
+    def bwd(g):
+        _grad_to_write(x)[start:stop] += g
+    return _make(x.data[start:stop].copy(), "slice_rows", (x,), bwd,
                  copy=True)
 
 
@@ -471,12 +444,9 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2 or not 0 <= start < stop <= x.shape[1]:
         raise ValueError(f"slice_cols[{start}:{stop}] invalid for {x.shape}")
 
-    def build():
-        def bwd(g):
-            if x.requires_grad:
-                _grad_to_write(x)[:, start:stop] += g
-        return bwd
-    return _make(x.data[:, start:stop].copy(), "slice_cols", (x,), build,
+    def bwd(g):
+        _grad_to_write(x)[:, start:stop] += g
+    return _make(x.data[:, start:stop].copy(), "slice_cols", (x,), bwd,
                  copy=True)
 
 
@@ -493,14 +463,9 @@ def elu(x: Tensor) -> Tensor:
     out_data = np.expm1(np.minimum(x.data, 0))
     np.maximum(out_data, x.data, out=out_data)
 
-    def build():
-        factor = np.minimum(out_data, 0) + 1
-
-        def bwd(g):
-            if x.requires_grad:
-                _accumulate(x, g * factor)
-        return bwd
-    return _make(out_data, "elu", (x,), build)
+    def bwd(g):
+        _accumulate(x, g * (np.minimum(out_data, 0) + 1))
+    return _make(out_data, "elu", (x,), bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -508,23 +473,17 @@ def sigmoid(x: Tensor) -> Tensor:
     e = np.exp(-np.abs(x.data))
     out_data = np.where(x.data >= 0, 1, e) / (1 + e)
 
-    def build():
-        def bwd(g):
-            if x.requires_grad:
-                _accumulate(x, g * out_data * (1 - out_data))
-        return bwd
-    return _make(out_data, "sigmoid", (x,), build)
+    def bwd(g):
+        _accumulate(x, g * out_data * (1 - out_data))
+    return _make(out_data, "sigmoid", (x,), bwd)
 
 
 def tanh(x: Tensor) -> Tensor:
     out_data = np.tanh(x.data)
 
-    def build():
-        def bwd(g):
-            if x.requires_grad:
-                _accumulate(x, g * (1 - out_data * out_data))
-        return bwd
-    return _make(out_data, "tanh", (x,), build)
+    def bwd(g):
+        _accumulate(x, g * (1 - out_data * out_data))
+    return _make(out_data, "tanh", (x,), bwd)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -537,13 +496,10 @@ def softmax_rows(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
 
-    def build():
-        def bwd(g):
-            if x.requires_grad:
-                dot = (g * out_data).sum(axis=-1, keepdims=True)
-                _accumulate(x, out_data * (g - dot))
-        return bwd
-    return _make(out_data, "softmax_rows", (x,), build)
+    def bwd(g):
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
+        _accumulate(x, out_data * (g - dot))
+    return _make(out_data, "softmax_rows", (x,), bwd)
 
 
 def layernorm_rows(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -561,19 +517,17 @@ def layernorm_rows(x: Tensor, gamma: Tensor, beta: Tensor,
     xhat = xc * inv
     out_data = xhat * gamma.data[None, :] + beta.data[None, :]
 
-    def build():
-        def bwd(g):
-            if gamma.requires_grad:
-                _accumulate(gamma, (g * xhat).sum(axis=0))
-            if beta.requires_grad:
-                _accumulate(beta, g.sum(axis=0))
-            if x.requires_grad:
-                dxhat = g * gamma.data[None, :]
-                m1 = dxhat.mean(axis=1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-                _accumulate(x, inv * (dxhat - m1 - xhat * m2))
-        return bwd
-    return _make(out_data, "layernorm_rows", (x, gamma, beta), build)
+    def bwd(g):
+        if gamma.requires_grad:
+            _accumulate(gamma, (g * xhat).sum(axis=0))
+        if beta.requires_grad:
+            _accumulate(beta, g.sum(axis=0))
+        if x.requires_grad:
+            dxhat = g * gamma.data[None, :]
+            m1 = dxhat.mean(axis=1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+            _accumulate(x, inv * (dxhat - m1 - xhat * m2))
+    return _make(out_data, "layernorm_rows", (x, gamma, beta), bwd)
 
 
 # ----------------------------------------------------------- reductions
@@ -581,12 +535,9 @@ def layernorm_rows(x: Tensor, gamma: Tensor, beta: Tensor,
 def mean(x: Tensor) -> Tensor:
     n = x.data.size
 
-    def build():
-        def bwd(g):
-            if x.requires_grad:
-                _accumulate(x, g * np.full_like(x.data, 1.0 / n))
-        return bwd
-    return _make(np.asarray(x.data.mean(), dtype=x.dtype), "mean", (x,), build)
+    def bwd(g):
+        _accumulate(x, g * np.full_like(x.data, 1.0 / n))
+    return _make(np.asarray(x.data.mean(), dtype=x.dtype), "mean", (x,), bwd)
 
 
 def mean_rows(x: Tensor) -> Tensor:
@@ -595,12 +546,9 @@ def mean_rows(x: Tensor) -> Tensor:
         raise ValueError(f"mean_rows needs a matrix, got shape {x.shape}")
     n = x.shape[0]
 
-    def build():
-        def bwd(g):
-            if x.requires_grad:
-                _accumulate(x, np.repeat(g, n, axis=0) / n)
-        return bwd
-    return _make(x.data.mean(axis=0, keepdims=True), "mean_rows", (x,), build)
+    def bwd(g):
+        _accumulate(x, np.repeat(g, n, axis=0) / n)
+    return _make(x.data.mean(axis=0, keepdims=True), "mean_rows", (x,), bwd)
 
 
 # ----------------------------------------------------------------- losses
@@ -614,17 +562,14 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.data - target.data
     n = diff.size
 
-    def build():
+    def bwd(g):
         sign = np.sign(diff)
-
-        def bwd(g):
-            if pred.requires_grad:
-                _accumulate(pred, g * sign / n)
-            if target.requires_grad:
-                _accumulate(target, -(g * sign / n))
-        return bwd
+        if pred.requires_grad:
+            _accumulate(pred, g * sign / n)
+        if target.requires_grad:
+            _accumulate(target, -(g * sign / n))
     return _make(np.asarray(np.abs(diff).mean(), dtype=pred.dtype),
-                 "l1_loss", (pred, target), build)
+                 "l1_loss", (pred, target), bwd)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -643,14 +588,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     log_probs = shifted - lse
     loss = -log_probs[np.arange(n), labels].mean()
 
-    def build():
-        probs = np.exp(log_probs)
-
-        def bwd(g):
-            if logits.requires_grad:
-                d = probs.copy()
-                d[np.arange(n), labels] -= 1
-                _accumulate(logits, g * d / n)
-        return bwd
+    def bwd(g):
+        d = np.exp(log_probs)
+        d[np.arange(n), labels] -= 1
+        _accumulate(logits, g * d / n)
     return _make(np.asarray(loss, dtype=logits.dtype), "cross_entropy",
-                 (logits,), build)
+                 (logits,), bwd)

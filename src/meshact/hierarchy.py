@@ -204,12 +204,14 @@ def cache_dir(override: str = None) -> str:
 
 def get_hierarchy(topology: TemplateTopology, ref_coords: np.ndarray,
                   factors, spiral_lengths,
-                  cache_root: str = None) -> MeshHierarchy:
-    """Cached build: load if the stored fingerprint matches, else rebuild."""
+                  cache_root: str = None,
+                  rebuild: bool = False) -> MeshHierarchy:
+    """Cached build: load if the stored fingerprint matches, else build and
+    save; `rebuild` builds and saves without reading the cache."""
     root = cache_dir(cache_root)
     os.makedirs(root, exist_ok=True)
     path = os.path.join(root, CACHE_FILENAME)
-    if os.path.exists(path):
+    if os.path.exists(path) and not rebuild:
         try:
             h = load_hierarchy(path, topology.checksum, factors,
                                spiral_lengths)

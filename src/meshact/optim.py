@@ -72,12 +72,10 @@ def lr_decay(lr: float, epoch: int, rate: float) -> float:
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape=None, dtype=np.float32) -> Tensor:
+                   dtype=np.float32) -> Tensor:
     """Uniform(-a, a) weight with a = sqrt(6 / (fan_in + fan_out))."""
-    if shape is None:
-        shape = (fan_in, fan_out)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    data = rng.uniform(-limit, limit, size=shape).astype(dtype)
+    data = rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
     return Tensor(data, requires_grad=True)
 
 

@@ -102,13 +102,14 @@ def batched_sampling(op: SamplingOperator, batch: int) -> engine.RowPlan:
 
 
 def _level_plans(hierarchy: MeshHierarchy, batch: int):
-    """Spiral, down and up plans for `batch` frames, kept on the hierarchy."""
+    """Spiral (but for the coarsest level, where no conv runs), down and up
+    plans for `batch` frames, kept on the hierarchy."""
     plans = hierarchy.plans.get(batch)
     if plans is None:
         plans = hierarchy.plans[batch] = (
             [engine.RowPlan.gather(batched_spiral_indices(t, batch),
                                    batch * t.vertex_count)
-             for t in hierarchy.spirals],
+             for t in hierarchy.spirals[:-1]],
             [batched_sampling(op, batch) for op in hierarchy.downs],
             [batched_sampling(op, batch) for op in hierarchy.ups])
     return plans
@@ -170,13 +171,6 @@ def decode_batch(params: dict, hierarchy: MeshHierarchy,
                     params["spae.out.bias"])
     v0 = hierarchy.levels[0].vertex_count
     return engine.reshape(x, (b, v0, 3))
-
-
-def encode_frame(params: dict, hierarchy: MeshHierarchy,
-                 frame: np.ndarray) -> np.ndarray:
-    """Single-frame convenience wrapper returning a plain (C,) array."""
-    codes = encode_batch(frozen_params(params), hierarchy, frame[None])
-    return codes.data[0].copy()
 
 
 def frozen_params(params: dict) -> dict:

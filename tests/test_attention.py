@@ -103,9 +103,11 @@ def test_self_attention_rejects_row_mismatch():
 
 
 def test_zeroed_projection_makes_layer_identity():
-    cfg = _cfg(use_ffn=False, use_layernorm=False)
+    # both residual branches end in a zero map, so the block adds exact zeros
+    cfg = _cfg()
     params = init_transformer_params(cfg, np.random.default_rng(4))
     params["trf.layer0.proj.weight"].data[:] = 0.0
+    params["trf.layer0.ff2.weight"].data[:] = 0.0
     x = Tensor(np.random.default_rng(5).standard_normal((6, cfg.d_model)))
     out = mhsa_layer(x, params, cfg, 0)
     assert np.abs(out.data - x.data).max() == 0.0
@@ -252,8 +254,7 @@ def _float64_transformer(rng, **kw):
     dict(pe_mode="none"), dict(pe_mode="sinusoidal"),
     dict(pe_mode="learned", pe_capacity=8),
     dict(pe_mode="learned", pe_capacity=8, use_class_token=True),
-    dict(pe_mode="sinusoidal", use_class_token=True),
-    dict(use_layernorm=False, use_residual=False, use_ffn=False)])
+    dict(pe_mode="sinusoidal", use_class_token=True)])
 @pytest.mark.parametrize("batch", [1, 3])
 def test_batched_forward_matches_per_sequence_forwards(kw, batch, batch_gap):
     rng = np.random.default_rng(16)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from meshact import cli
+from meshact import cli, hierarchy
 from meshact.errors import ConfigError, NonFiniteError
 from meshact.topology import icosphere, save_template, tetrahedron
 
@@ -177,12 +177,20 @@ def test_resolve_template_variants(tmp_path):
     assert topo.vertex_count == 4
 
 
-def test_build_hierarchy_rebuild_flag(micro, capsys):
+def test_build_hierarchy_rebuild_flag(micro, tmp_path, monkeypatch, capsys):
     run, _, _ = micro
     assert run("build-hierarchy") == 0
     capsys.readouterr()
+    cache_file = tmp_path / "cache" / hierarchy.CACHE_FILENAME
+    built = cache_file.read_bytes()
+    cache_file.write_bytes(b"stale")
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("--rebuild read the cache")
+    monkeypatch.setattr(hierarchy, "load_hierarchy", no_load)
     assert run("build-hierarchy", "--rebuild") == 0
     assert capsys.readouterr().out.strip() == "42 → 21 → 11 → 6 → 4"
+    assert cache_file.read_bytes() == built     # built and saved again
 
 
 def test_eval_with_other_d_model_exits_2(micro, tmp_path, capsys):
@@ -198,3 +206,47 @@ def test_eval_with_other_d_model_exits_2(micro, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "parameter 'trf.fc3.weight' has shape (16, 2)" in err
     assert "needs (24, 2)" in err
+
+
+@pytest.mark.parametrize("subjects, fraction, side",
+                         [(1, 0.8, "test"), (2, 0.2, "train")])
+def test_empty_split_exits_2(tmp_path, capsys, subjects, fraction, side):
+    cfg = tmp_path / "few.cfg"
+    cfg.write_text(MICRO_CFG.format(cache=tmp_path / "cache").replace(
+        "subjects = 5", f"subjects = {subjects}\nsplit_fraction = {fraction}"))
+    args = ["--config", str(cfg), "--data-dir", str(tmp_path / "data"),
+            "--out", str(tmp_path / "out")]
+    assert cli.main(["gen-data"] + args) == 0
+    capsys.readouterr()
+    assert cli.main(["train-spae"] + args) == 2
+    err = capsys.readouterr().err
+    assert f"{subjects} subject(s) at split_fraction {fraction}" in err
+    assert f"leave the {side} split empty" in err
+
+
+def test_sweep_frames_and_heads(micro, tmp_path, capsys):
+    run, _, out = micro
+    cfg = tmp_path / "micro.cfg"
+    cfg.write_text(cfg.read_text() + "sweep_frames = 2,4\n"
+                   "sweep_heads = 1,1;2,2\n")
+    for command in ("gen-data", "train-spae", "encode"):
+        assert run(command) == 0
+
+    assert run("sweep", "--axis", "frames") == 0
+    assert "frames 2: accuracy" in capsys.readouterr().out
+    with open(os.path.join(out, "sweep_frames.csv")) as fh:
+        lines = [line for line in fh.read().splitlines()
+                 if not line.startswith("#")]
+    assert lines[0] == "frames,test_accuracy,checkpoint_bytes"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [n for n, _, _ in rows] == ["2", "4"]
+    for n, _, size in rows:    # one checkpoint per frame count
+        ckpt = os.path.join(out, f"classifier_frames{n}.ckpt")
+        assert int(size) == os.path.getsize(ckpt)
+
+    assert run("sweep", "--axis", "heads") == 0
+    assert "heads (2, 2): accuracy" in capsys.readouterr().out
+    with open(os.path.join(out, "sweep_heads.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "heads,test_accuracy"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1-1", "2-2"]

@@ -404,11 +404,11 @@ def test_no_grad_encode_builds_no_backward_table():
     spirals, downs, ups = h.plans[2]
     plans = spirals + downs + ups
     assert all("backward" not in vars(plan) for plan in plans)
+    assert len(spirals) == h.level_count - 1    # no conv reads the coarsest
     spae.reconstruction_loss(params, h, frames).backward()
-    # a training step builds the transpose of every plan it uses: all but
-    # the coarsest level's spiral, which no conv reads
-    assert ["backward" in vars(plan) for plan in plans] == \
-        [True] * (len(spirals) - 1) + [False] + [True] * (len(downs) + len(ups))
+    # a training step builds the transpose of every plan it uses, and it
+    # uses every plan that was built
+    assert all("backward" in vars(plan) for plan in plans)
 
 
 def test_backward_requires_scalar():
@@ -429,6 +429,17 @@ def test_no_grad_inputs_skip_graph():
     out = engine.matmul(a, b)
     assert not out.requires_grad
     assert out._parents == ()
+
+
+def test_no_grad_op_cases_build_no_graph():
+    # every op attaches its closure only when an input requires a gradient
+    cases = op_gradient_cases(np.random.default_rng(0))
+    for name, params, make_loss in cases:
+        for p in params.values():
+            p.requires_grad = False
+        loss = make_loss()
+        assert not loss.requires_grad, name
+        assert loss._parents == () and loss._backward is None, name
 
 
 def test_non_finite_results_raise():
