@@ -41,7 +41,7 @@ def _write_block(fh, tensors: dict):
         arr = tensors[name]
         if isinstance(arr, Tensor):
             arr = arr.data
-        arr = np.ascontiguousarray(arr, dtype="<f4")
+        arr = np.asarray(arr, dtype="<f4")
         encoded = name.encode("utf-8")
         fh.write(struct.pack("<I", len(encoded)))
         fh.write(encoded)
@@ -97,6 +97,10 @@ def load_checkpoint(path):
             adam = AdamState(step_count=step, beta1=b1, beta2=b2, epsilon=eps,
                              first_moment=_read_block(fh),
                              second_moment=_read_block(fh))
+        trailing = len(fh.read())
+    if trailing:
+        raise FormatError(f"checkpoint has {trailing} trailing bytes after "
+                          f"its last block")
     return tensors, adam
 
 

@@ -13,6 +13,7 @@ run_* layer directly.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -40,18 +41,31 @@ TEST_EMB = "embeddings_test.emb"
 
 
 def resolve_template(name: str):
-    """'tetrahedron', 'icosphereN', or a mesh file path -> (topology, coords)."""
-    if name == "tetrahedron":
-        return tetrahedron()
-    if name.startswith("icosphere"):
-        suffix = name[len("icosphere"):]
-        try:
-            return icosphere(int(suffix) if suffix else 0)
-        except ValueError as e:
-            raise ConfigError(f"bad template {name!r}: {e}") from e
+    """'tetrahedron', 'icosphereN', or a mesh file path -> (topology, coords).
+
+    A builtin template is a pure function of its name, so it is made once
+    per process and its arrays are read-only; a file is read on every call.
+    """
+    if name == "tetrahedron" or name.startswith("icosphere"):
+        return _builtin_template(name)
     if os.path.exists(name):
         return load_template(name)
     raise ConfigError(f"template {name!r} is neither a builtin name nor a file")
+
+
+@functools.cache
+def _builtin_template(name: str):
+    if name == "tetrahedron":
+        topo, coords = tetrahedron()
+    else:
+        suffix = name[len("icosphere"):]
+        try:
+            topo, coords = icosphere(int(suffix) if suffix else 0)
+        except ValueError as e:
+            raise ConfigError(f"bad template {name!r}: {e}") from e
+    for a in (topo.faces, *topo.adjacency, coords):
+        a.setflags(write=False)
+    return topo, coords
 
 
 def _manifest_path(cfg: RunConfig) -> str:

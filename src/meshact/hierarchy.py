@@ -4,10 +4,19 @@ The hierarchy is a pure function of (template topology, reference coords,
 decimation factors, spiral lengths), so it is built once and cached on disk.
 The cache file stores the inputs' fingerprint; a mismatch triggers a rebuild
 rather than an error, since a stale cache is an inconvenience, not a fault.
+
+On top of the file, the process keeps, per cache path, the hierarchy it
+last loaded or built there, with the sha256 of the file's bytes. While the
+file still hashes the same and the request matches, `get_hierarchy`
+returns that same object, so its arrays are parsed, and the autoencoder's
+gather plans kept in `MeshHierarchy.plans` are built, once per process.
+The file stays the source of truth: any other bytes are loaded again. A
+held hierarchy's arrays are read-only, because every caller shares them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import struct
@@ -26,6 +35,9 @@ CACHE_MAGIC = b"SPHC"
 CACHE_VERSION = 1
 CACHE_ENV_VAR = "SPATR_CACHE_DIR"
 CACHE_FILENAME = "hierarchy.bin"
+
+# absolute cache path -> (sha256 of the file's bytes, the hierarchy they hold)
+_held: dict = {}
 
 
 @dataclass(frozen=True)
@@ -64,7 +76,7 @@ def build_hierarchy(topology: TemplateTopology, ref_coords: np.ndarray,
             f"{len(factors) + 1} levels, got {len(spiral_lengths)} lengths")
 
     levels = [topology]
-    coords = [np.asarray(ref_coords, dtype=np.float64)]
+    coords = [np.array(ref_coords, dtype=np.float64)]
     downs, ups = [], []
     for f in factors:
         coarse_topo, coarse_coords, down, up = qem_decimate(
@@ -83,7 +95,7 @@ def build_hierarchy(topology: TemplateTopology, ref_coords: np.ndarray,
 
 
 def _write_array(fh, arr: np.ndarray, dtype: str):
-    a = np.ascontiguousarray(arr, dtype=dtype)
+    a = np.asarray(arr, dtype=dtype)
     fh.write(struct.pack("<I", a.ndim))
     fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
     fh.write(a.tobytes())
@@ -207,20 +219,53 @@ def get_hierarchy(topology: TemplateTopology, ref_coords: np.ndarray,
                   cache_root: str = None,
                   rebuild: bool = False) -> MeshHierarchy:
     """Cached build: load if the stored fingerprint matches, else build and
-    save; `rebuild` builds and saves without reading the cache."""
+    save; `rebuild` builds and saves without reading the cache.
+
+    The cache file is the source of truth. While its bytes hash the same as
+    when this process last loaded or wrote it, and the request matches
+    (same key and rest pose), the hierarchy held from then is returned
+    itself, not loaded again. Anything else loads or rebuilds and holds
+    the result in its place.
+    """
     root = cache_dir(cache_root)
     os.makedirs(root, exist_ok=True)
-    path = os.path.join(root, CACHE_FILENAME)
+    path = os.path.abspath(os.path.join(root, CACHE_FILENAME))
+    ref_coords = np.asarray(ref_coords, dtype=np.float64)
     if os.path.exists(path) and not rebuild:
+        digest = _file_digest(path)
+        held_digest, h = _held.get(path, (None, None))
+        if held_digest == digest and np.array_equal(h.ref_coords[0],
+                                                    ref_coords) and \
+                _cache_key(h.source_checksum, h.factors, h.spiral_lengths) \
+                == _cache_key(topology.checksum, factors, spiral_lengths):
+            return h
         try:
             h = load_hierarchy(path, topology.checksum, factors,
                                spiral_lengths)
-            if np.array_equal(h.ref_coords[0],
-                              np.asarray(ref_coords, dtype=np.float64)):
-                return h
-            raise FormatError("hierarchy cache holds another rest pose")
+            if not np.array_equal(h.ref_coords[0], ref_coords):
+                raise FormatError("hierarchy cache holds another rest pose")
+            return _hold(path, digest, h)
         except FormatError as e:
             print(f"rebuilding hierarchy cache: {e}", file=sys.stderr)
     h = build_hierarchy(topology, ref_coords, factors, spiral_lengths)
     save_hierarchy(path, h)
+    return _hold(path, _file_digest(path), h)
+
+
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _hold(path: str, digest: str, h: MeshHierarchy) -> MeshHierarchy:
+    """Keep `h` as the hierarchy of `path`'s bytes; make its arrays
+    read-only, since every later caller shares them."""
+    arrays = [*h.ref_coords, *(s.indices for s in h.spirals)]
+    for topo in h.levels:
+        arrays += [topo.faces, *topo.adjacency]
+    for op in h.downs + h.ups:
+        arrays += [op.row_idx, op.col_idx, op.weights]
+    for a in arrays:
+        a.setflags(write=False)
+    _held[path] = (digest, h)
     return h

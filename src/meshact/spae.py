@@ -103,7 +103,13 @@ def batched_sampling(op: SamplingOperator, batch: int) -> engine.RowPlan:
 
 def _level_plans(hierarchy: MeshHierarchy, batch: int):
     """Spiral (but for the coarsest level, where no conv runs), down and up
-    plans for `batch` frames, kept on the hierarchy."""
+    plans for `batch` frames, kept on the hierarchy.
+
+    They live as long as the hierarchy, which `get_hierarchy` holds for
+    the whole process, so each batch size is planned once per process.
+    Nothing is evicted: the sizes seen are the training batch, the encode
+    chunk and their remainders.
+    """
     plans = hierarchy.plans.get(batch)
     if plans is None:
         plans = hierarchy.plans[batch] = (
@@ -302,4 +308,8 @@ def load_embeddings(path):
                 raise FormatError(f"truncated embedding payload at sequence {i}")
             emb = np.frombuffer(payload, dtype="<f4").reshape(length, c).copy()
             out.append((emb, label))
+        trailing = len(fh.read())
+    if trailing:
+        raise FormatError(f"embedding cache has {trailing} trailing bytes "
+                          f"after its last sequence")
     return out

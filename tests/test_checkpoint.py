@@ -82,6 +82,25 @@ def test_every_truncated_checkpoint_is_a_format_error(tmp_path, with_adam):
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize("with_adam", [False, True])
+def test_checkpoint_with_trailing_bytes_is_a_format_error(tmp_path,
+                                                          with_adam):
+    path, _, _ = _write(tmp_path, with_adam)
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(FormatError, match="7 trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_zero_d_tensor_keeps_its_shape(tmp_path):
+    path = tmp_path / "x.ckpt"
+    tensors = {"t.scalar": np.float32(2.5), "t.vector": np.zeros(3)}
+    save_checkpoint(path, tensors)
+    loaded, _ = load_checkpoint(path)
+    assert loaded["t.scalar"].shape == ()
+    assert loaded["t.scalar"] == np.float32(2.5)
+    assert loaded["t.vector"].shape == (3,)
+
+
 def _embeddings(tmp_path):
     rng = np.random.default_rng(1)
     embedded = [(rng.standard_normal((5, 4)).astype(np.float32), 2),
@@ -135,3 +154,10 @@ def test_every_truncated_embedding_cache_is_a_format_error(tmp_path):
         with pytest.raises(FormatError,
                            match=f"^{_expected_error(cut, embedded)}"):
             spae.load_embeddings(path)
+
+
+def test_embedding_cache_with_trailing_bytes_is_a_format_error(tmp_path):
+    path, _ = _embeddings(tmp_path)
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(FormatError, match="7 trailing bytes"):
+        spae.load_embeddings(path)

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from meshact import cli, hierarchy
+from meshact import cli, engine, hierarchy
+from meshact.config import make_config
 from meshact.errors import ConfigError, NonFiniteError
 from meshact.topology import icosphere, save_template, tetrahedron
 
@@ -175,6 +176,45 @@ def test_resolve_template_variants(tmp_path):
     save_template(path, *tetrahedron())
     topo, _ = cli.resolve_template(str(path))
     assert topo.vertex_count == 4
+
+
+def test_builtin_template_is_made_once_and_read_only():
+    topo, coords = cli.resolve_template("icosphere1")
+    assert cli.resolve_template("icosphere1")[0] is topo
+    for arr in (coords, topo.faces, topo.adjacency[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_template_file_edited_between_calls_is_read_again(tmp_path):
+    path = tmp_path / "shape.mesh"
+    save_template(path, *tetrahedron())
+    assert cli.resolve_template(str(path))[0].vertex_count == 4
+    save_template(path, *icosphere(1))
+    assert cli.resolve_template(str(path))[0].vertex_count == 42
+
+
+def test_warm_stage_calls_reuse_the_hierarchy_and_its_plans(
+        micro, tmp_path, monkeypatch):
+    run, data, out = micro
+    for command in ("gen-data", "train-spae", "encode"):
+        assert run(command) == 0
+    cfg = make_config(str(tmp_path / "micro.cfg"),
+                      {"data_dir": data, "out_dir": out})
+    plans = []
+    real = engine.RowPlan.__init__
+
+    def counted(self, *args, **kwargs):
+        plans.append(args[:2])
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(engine.RowPlan, "__init__", counted)
+    emb = tmp_path / "out" / cli.TRAIN_EMB
+    encoded = emb.read_bytes()
+    cli.run_encode(cfg)
+    assert plans == []
+    assert emb.read_bytes() == encoded
+    h = cli.run_build_hierarchy(cfg)
+    assert cli.run_build_hierarchy(cfg) is h
 
 
 def test_build_hierarchy_rebuild_flag(micro, tmp_path, monkeypatch, capsys):

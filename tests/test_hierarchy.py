@@ -1,8 +1,13 @@
-"""Hierarchy assembly and the on-disk cache."""
+"""Hierarchy assembly, the on-disk cache and the hierarchy held in
+process."""
+
+import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from meshact import hierarchy
 from meshact.errors import FormatError
 from meshact.hierarchy import (build_hierarchy, get_hierarchy, load_hierarchy,
                                save_hierarchy)
@@ -103,6 +108,86 @@ def test_get_hierarchy_rebuilds_for_a_new_rest_pose(tmp_path, capsys):
     for a, b in zip(h.downs + h.ups, fresh.downs + fresh.ups):
         assert np.array_equal(a.col_idx, b.col_idx)
         assert np.array_equal(a.weights, b.weights)
+
+
+def test_zero_d_array_keeps_its_shape():
+    buf = io.BytesIO()
+    hierarchy._write_array(buf, np.float64(1.5), "<f8")
+    hierarchy._write_array(buf, np.arange(3), "<i4")
+    buf.seek(0)
+    scalar = hierarchy._read_array(buf, "<f8")
+    assert scalar.shape == () and scalar == 1.5
+    assert hierarchy._read_array(buf, "<i4").shape == (3,)
+
+
+def _count_loads(monkeypatch):
+    loads = []
+    real = hierarchy.load_hierarchy
+
+    def counted(*args, **kwargs):
+        loads.append(args[0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(hierarchy, "load_hierarchy", counted)
+    return loads
+
+
+def test_unchanged_cache_file_gives_the_held_hierarchy(tmp_path, monkeypatch,
+                                                       capsys):
+    topo, coords = icosphere(1)
+    h1 = get_hierarchy(topo, coords, FACTORS, LENGTHS,
+                       cache_root=str(tmp_path))
+    loads = _count_loads(monkeypatch)
+    assert get_hierarchy(topo, coords, FACTORS, LENGTHS,
+                         cache_root=str(tmp_path)) is h1
+    assert loads == []
+
+    # other bytes with the same key and rest pose: loaded, not the held one
+    cache_file = tmp_path / "hierarchy.bin"
+    built = cache_file.read_bytes()
+    moved = replace(h1, ref_coords=(h1.ref_coords[0],)
+                    + tuple(c + 0.5 for c in h1.ref_coords[1:]))
+    save_hierarchy(cache_file, moved)
+    h2 = get_hierarchy(topo, coords, FACTORS, LENGTHS,
+                       cache_root=str(tmp_path))
+    assert h2 is not h1 and len(loads) == 1
+    assert np.array_equal(h2.ref_coords[1], h1.ref_coords[1] + 0.5)
+    assert get_hierarchy(topo, coords, FACTORS, LENGTHS,
+                         cache_root=str(tmp_path)) is h2
+    assert len(loads) == 1
+
+    # garbage: the rebuild message, a fresh build, the file written again
+    capsys.readouterr()
+    cache_file.write_bytes(b"garbage")
+    h3 = get_hierarchy(topo, coords, FACTORS, LENGTHS,
+                       cache_root=str(tmp_path))
+    assert "rebuilding hierarchy cache" in capsys.readouterr().err
+    assert h3 is not h2 and cache_file.read_bytes() == built
+    assert get_hierarchy(topo, coords, FACTORS, LENGTHS,
+                         cache_root=str(tmp_path)) is h3
+
+
+def test_rebuild_never_returns_the_held_hierarchy(tmp_path, monkeypatch):
+    topo, coords = icosphere(1)
+    h1 = get_hierarchy(topo, coords, FACTORS, LENGTHS,
+                       cache_root=str(tmp_path))
+    loads = _count_loads(monkeypatch)
+    h2 = get_hierarchy(topo, coords, FACTORS, LENGTHS,
+                       cache_root=str(tmp_path), rebuild=True)
+    assert h2 is not h1
+    assert get_hierarchy(topo, coords, FACTORS, LENGTHS,
+                         cache_root=str(tmp_path)) is h2
+    assert loads == []
+
+
+def test_held_hierarchy_arrays_are_read_only(tmp_path):
+    topo, coords = icosphere(1)
+    h = get_hierarchy(topo, coords, FACTORS, LENGTHS,
+                      cache_root=str(tmp_path))
+    for arr in (h.ref_coords[0], h.levels[1].faces, h.levels[1].adjacency[0],
+                h.spirals[0].indices, h.downs[0].row_idx, h.ups[0].weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    coords[0] = 0.0       # the caller's rest pose is copied, not frozen
 
 
 def test_cache_dir_environment_override(tmp_path, monkeypatch):
