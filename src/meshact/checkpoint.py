@@ -19,48 +19,31 @@ import struct
 
 import numpy as np
 
+from .binfmt import Reader, write_array
 from .engine import Tensor
-from .errors import FormatError
 from .optim import AdamState
 
 CKPT_MAGIC = b"SPTC"
 CKPT_VERSION = 1
 
 
-def _read_exact(fh, n: int) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise FormatError(f"truncated checkpoint: wanted {n} bytes, "
-                          f"got {len(raw)}")
-    return raw
-
-
 def _write_block(fh, tensors: dict):
     fh.write(struct.pack("<I", len(tensors)))
     for name in sorted(tensors):
         arr = tensors[name]
-        if isinstance(arr, Tensor):
-            arr = arr.data
-        arr = np.asarray(arr, dtype="<f4")
         encoded = name.encode("utf-8")
         fh.write(struct.pack("<I", len(encoded)))
         fh.write(encoded)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes())
+        write_array(fh, arr.data if isinstance(arr, Tensor) else arr, "<f4")
 
 
-def _read_block(fh) -> dict:
-    (count,) = struct.unpack("<I", _read_exact(fh, 4))
+def _read_block(r: Reader) -> dict:
+    (count,) = r.unpack("<I")
     out = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        name = _read_exact(fh, name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
-        shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
-        n = int(np.prod(shape)) if shape else 1
-        raw = _read_exact(fh, 4 * n)
-        out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        (name_len,) = r.unpack("<I")
+        name = str(r.take(name_len), "utf-8")
+        out[name] = r.array("<f4")
     return out
 
 
@@ -81,26 +64,16 @@ def save_checkpoint(path, tensors: dict, adam: AdamState = None) -> None:
 
 def load_checkpoint(path):
     """Returns (name -> float32 array dict, AdamState or None)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CKPT_MAGIC:
-            raise FormatError(f"bad checkpoint magic: expected {CKPT_MAGIC!r}, "
-                              f"got {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CKPT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        tensors = _read_block(fh)
-        (has_adam,) = struct.unpack("<B", _read_exact(fh, 1))
-        adam = None
-        if has_adam:
-            step, b1, b2, eps = struct.unpack("<Qddd", _read_exact(fh, 32))
-            adam = AdamState(step_count=step, beta1=b1, beta2=b2, epsilon=eps,
-                             first_moment=_read_block(fh),
-                             second_moment=_read_block(fh))
-        trailing = len(fh.read())
-    if trailing:
-        raise FormatError(f"checkpoint has {trailing} trailing bytes after "
-                          f"its last block")
+    r = Reader(path, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
+    tensors = _read_block(r)
+    (has_adam,) = r.unpack("<B")
+    adam = None
+    if has_adam:
+        step, b1, b2, eps = r.unpack("<Qddd")
+        adam = AdamState(step_count=step, beta1=b1, beta2=b2, epsilon=eps,
+                         first_moment=_read_block(r),
+                         second_moment=_read_block(r))
+    r.end()
     return tensors, adam
 
 

@@ -171,16 +171,21 @@ def _load_spae(cfg: RunConfig):
     return params, stats
 
 
+def _encode_split(cfg: RunConfig, rows, hierarchy, params, stats):
+    """Load, normalize and encode one split's sequences: (codes, label)."""
+    seqs = _load_sampled(cfg, rows, hierarchy.source_checksum)
+    pairs = [(apply_norm(seq.frames, stats).astype(np.float32), label)
+             for seq, label in seqs]
+    return spae_mod.encode_dataset(params, hierarchy, pairs)
+
+
 def run_encode(cfg: RunConfig):
     hierarchy = run_build_hierarchy(cfg)
     params, stats = _load_spae(cfg)
     train_rows, test_rows = _load_split(cfg)
     written = {}
     for rows, fname in ((train_rows, TRAIN_EMB), (test_rows, TEST_EMB)):
-        seqs = _load_sampled(cfg, rows, hierarchy.source_checksum)
-        pairs = [(apply_norm(seq.frames, stats).astype(np.float32), label)
-                 for seq, label in seqs]
-        embedded = spae_mod.encode_dataset(params, hierarchy, pairs)
+        embedded = _encode_split(cfg, rows, hierarchy, params, stats)
         path = os.path.join(cfg.out_dir, fname)
         spae_mod.save_embeddings(path, embedded)
         written[fname] = len(embedded)
@@ -195,16 +200,22 @@ def _load_embeddings_split(cfg: RunConfig):
     return train, test
 
 
+def _train_head(cfg: RunConfig, head: str, tcfg, train, test, stage: str,
+                log=None):
+    """`clf.train_head` with the cfg's schedule and the seed of `stage`."""
+    return clf.train_head(
+        head, tcfg, train, test,
+        epochs=cfg.trf_epochs, learning_rate=cfg.trf_lr,
+        decay_rate=cfg.trf_decay, weight_decay=cfg.weight_decay,
+        batch_size=cfg.trf_batch, seed=stage_seed(cfg.seed, stage), log=log)
+
+
 def run_train_classifier(cfg: RunConfig, log=None):
     train, test = _load_embeddings_split(cfg)
     in_dim = train[0][0].shape[1]
     tcfg = transformer_config(cfg, in_dim)
-    params, forward, metrics = clf.train_head(
-        cfg.head, tcfg, train, test,
-        epochs=cfg.trf_epochs, learning_rate=cfg.trf_lr,
-        decay_rate=cfg.trf_decay, weight_decay=cfg.weight_decay,
-        batch_size=cfg.trf_batch, seed=stage_seed(cfg.seed, "classifier"),
-        log=log)
+    params, forward, metrics = _train_head(cfg, cfg.head, tcfg, train, test,
+                                           "classifier", log=log)
     os.makedirs(cfg.out_dir, exist_ok=True)
     save_checkpoint(os.path.join(cfg.out_dir, CLF_CKPT), params)
     clf.write_metrics_csv(os.path.join(cfg.out_dir, "metrics.csv"), metrics)
@@ -243,19 +254,11 @@ def run_sweep_frames(cfg: RunConfig, log=None):
     results = []
     for n in cfg.sweep_frames:
         sub = replace(cfg, frames=n)
-        splits = []
-        for rows in (train_rows, test_rows):
-            seqs = _load_sampled(sub, rows, hierarchy.source_checksum)
-            pairs = [(apply_norm(s.frames, stats).astype(np.float32), label)
-                     for s, label in seqs]
-            splits.append(spae_mod.encode_dataset(params, hierarchy, pairs))
-        train, test = splits
+        train, test = (_encode_split(sub, rows, hierarchy, params, stats)
+                       for rows in (train_rows, test_rows))
         tcfg = transformer_config(sub, train[0][0].shape[1])
-        head_params, forward, metrics = clf.train_head(
-            cfg.head, tcfg, train, test,
-            epochs=cfg.trf_epochs, learning_rate=cfg.trf_lr,
-            decay_rate=cfg.trf_decay, weight_decay=cfg.weight_decay,
-            batch_size=cfg.trf_batch, seed=stage_seed(cfg.seed, "sweep"))
+        head_params, forward, metrics = _train_head(cfg, cfg.head, tcfg,
+                                                    train, test, "sweep")
         ckpt = os.path.join(cfg.out_dir, f"classifier_frames{n}.ckpt")
         os.makedirs(cfg.out_dir, exist_ok=True)
         save_checkpoint(ckpt, head_params)
@@ -280,11 +283,8 @@ def run_sweep_heads(cfg: RunConfig, log=None):
     for head_counts in cfg.sweep_heads:
         sub = replace(cfg, heads=tuple(head_counts))
         tcfg = transformer_config(sub, in_dim)
-        _, _, metrics = clf.train_head(
-            "transformer", tcfg, train, test,
-            epochs=cfg.trf_epochs, learning_rate=cfg.trf_lr,
-            decay_rate=cfg.trf_decay, weight_decay=cfg.weight_decay,
-            batch_size=cfg.trf_batch, seed=stage_seed(cfg.seed, "sweep"))
+        _, _, metrics = _train_head(cfg, "transformer", tcfg, train, test,
+                                    "sweep")
         acc = metrics[-1][2]
         results.append((head_counts, acc))
         if log is not None:

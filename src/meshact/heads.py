@@ -80,11 +80,11 @@ def init_lstm_params(rng, in_dim: int, n_classes: int,
     return p
 
 
-def _lstm_layer(params: dict, layer: int, xs: Tensor, batch: int,
-                hidden: int) -> list:
+def _lstm_layer(params: dict, layer: int, xs: Tensor, batch: int) -> list:
     """Run one layer over time-major (L*B, d) rows; returns the (B, hidden)
     state of every step."""
     wh = params[f"lstm.layer{layer}.wh"]
+    hidden = wh.shape[0]
     # The input term of every step at once; each step adds only h @ wh.
     zx = engine.add_bias(engine.matmul(xs, params[f"lstm.layer{layer}.wx"]),
                          params[f"lstm.layer{layer}.bias"])
@@ -104,12 +104,13 @@ def _lstm_layer(params: dict, layer: int, xs: Tensor, batch: int,
     return outs
 
 
-def lstm_forward(params: dict, tokens, hidden: int = LSTM_HIDDEN,
-                 layers: int = 3) -> Tensor:
+def lstm_forward(params: dict, tokens) -> Tensor:
+    """The hidden width and layer count are those of `params`."""
     rows, batch, length = batching.stack_rows(tokens)
     x = engine.sparse_mm(batching.time_major_plan(batch, length), rows)
+    layers = sum(name.endswith(".wh") for name in params)
     for i in range(layers):
-        steps = _lstm_layer(params, i, x, batch, hidden)
+        steps = _lstm_layer(params, i, x, batch)
         if i + 1 < layers:
             x = engine.concat_rows(steps)
     return engine.add_bias(engine.matmul(steps[-1], params["lstm.out.weight"]),
@@ -150,11 +151,13 @@ def window_plan(batch: int, length: int, kernel: int) -> RowPlan:
                           batch * length)
 
 
-def cnn_forward(params: dict, tokens, channels=CNN_CHANNELS,
-                kernel: int = CNN_KERNEL) -> Tensor:
+def cnn_forward(params: dict, tokens) -> Tensor:
+    """Conv count and kernel are those of `params` (conv0: kernel*C rows)."""
     x, batch, length = batching.stack_rows(tokens)
+    kernel = params["cnn.conv0.weight"].shape[0] // x.shape[1]
     windows = window_plan(batch, length, kernel)
-    for i in range(len(channels)):
+    for i in range(sum(name.startswith("cnn.conv") and name.endswith(".weight")
+                       for name in params)):
         c_in = x.shape[1]
         g = engine.reshape(engine.sparse_mm(windows, x),
                            (batch * length, kernel * c_in))

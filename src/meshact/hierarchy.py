@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binfmt import Reader, write_array
 from .decimate import qem_decimate
 from .errors import FormatError
 from .sampling import SamplingOperator
@@ -94,43 +95,17 @@ def build_hierarchy(topology: TemplateTopology, ref_coords: np.ndarray,
         source_checksum=topology.checksum)
 
 
-def _write_array(fh, arr: np.ndarray, dtype: str):
-    a = np.asarray(arr, dtype=dtype)
-    fh.write(struct.pack("<I", a.ndim))
-    fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
-    fh.write(a.tobytes())
-
-
-def _read_array(fh, dtype: str) -> np.ndarray:
-    (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
-    shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
-    count = int(np.prod(shape)) if shape else 1
-    raw = _read_exact(fh, count * np.dtype(dtype).itemsize)
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-
-
-def _read_exact(fh, n: int) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise FormatError(f"truncated hierarchy cache: wanted {n} bytes, "
-                          f"got {len(raw)}")
-    return raw
-
-
 def _write_operator(fh, op: SamplingOperator):
     fh.write(struct.pack("<III", op.rows, op.cols, 1 if op.kind == "up" else 0))
-    _write_array(fh, op.row_idx, "<i4")
-    _write_array(fh, op.col_idx, "<i4")
-    _write_array(fh, op.weights, "<f8")
+    write_array(fh, op.row_idx, "<i4")
+    write_array(fh, op.col_idx, "<i4")
+    write_array(fh, op.weights, "<f8")
 
 
-def _read_operator(fh) -> SamplingOperator:
-    rows, cols, kind_flag = struct.unpack("<III", _read_exact(fh, 12))
-    row_idx = _read_array(fh, "<i4")
-    col_idx = _read_array(fh, "<i4")
-    weights = _read_array(fh, "<f8")
-    return SamplingOperator(rows=rows, cols=cols, row_idx=row_idx,
-                            col_idx=col_idx, weights=weights,
+def _read_operator(r: Reader) -> SamplingOperator:
+    rows, cols, kind_flag = r.unpack("<III")
+    return SamplingOperator(rows=rows, cols=cols, row_idx=r.array("<i4"),
+                            col_idx=r.array("<i4"), weights=r.array("<f8"),
                             kind="up" if kind_flag else "down")
 
 
@@ -156,10 +131,10 @@ def save_hierarchy(path: str, h: MeshHierarchy):
         fh.write(struct.pack("<I", h.level_count))
         for topo, coords, spiral in zip(h.levels, h.ref_coords, h.spirals):
             fh.write(struct.pack("<I", topo.vertex_count))
-            _write_array(fh, topo.faces, "<i4")
-            _write_array(fh, coords, "<f8")
+            write_array(fh, topo.faces, "<i4")
+            write_array(fh, coords, "<f8")
             fh.write(struct.pack("<I", spiral.length))
-            _write_array(fh, spiral.indices, "<i4")
+            write_array(fh, spiral.indices, "<i4")
         for down, up in zip(h.downs, h.ups):
             _write_operator(fh, down)
             _write_operator(fh, up)
@@ -171,34 +146,25 @@ def load_hierarchy(path: str, expected_checksum: int, factors,
     the requested (checksum, factors, spiral_lengths) triple."""
     factors = tuple(float(f) for f in factors)
     spiral_lengths = tuple(int(s) for s in spiral_lengths)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CACHE_MAGIC:
-            raise FormatError(f"bad hierarchy cache magic: expected "
-                              f"{CACHE_MAGIC!r}, got {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CACHE_VERSION:
-            raise FormatError(f"unsupported hierarchy cache version {version}")
-        (key_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        key = _read_exact(fh, key_len)
-        expected_key = _cache_key(expected_checksum, factors, spiral_lengths)
-        if key != expected_key:
-            raise FormatError("hierarchy cache was built for a different "
-                              "(template, factors, spiral lengths) combination")
-        (n_levels,) = struct.unpack("<I", _read_exact(fh, 4))
-        levels, coords, spirals = [], [], []
-        for _ in range(n_levels):
-            (vc,) = struct.unpack("<I", _read_exact(fh, 4))
-            faces = _read_array(fh, "<i4")
-            levels.append(build_topology(vc, faces))
-            coords.append(_read_array(fh, "<f8"))
-            (slen,) = struct.unpack("<I", _read_exact(fh, 4))
-            indices = _read_array(fh, "<i4")
-            spirals.append(SpiralIndexTable(length=slen, indices=indices))
-        downs, ups = [], []
-        for _ in range(n_levels - 1):
-            downs.append(_read_operator(fh))
-            ups.append(_read_operator(fh))
+    r = Reader(path, CACHE_MAGIC, CACHE_VERSION, "hierarchy cache")
+    (key_len,) = r.unpack("<I")
+    if r.take(key_len) != _cache_key(expected_checksum, factors,
+                                     spiral_lengths):
+        raise FormatError("hierarchy cache was built for a different "
+                          "(template, factors, spiral lengths) combination")
+    (n_levels,) = r.unpack("<I")
+    levels, coords, spirals = [], [], []
+    for _ in range(n_levels):
+        (vc,) = r.unpack("<I")
+        levels.append(build_topology(vc, r.array("<i4")))
+        coords.append(r.array("<f8"))
+        (slen,) = r.unpack("<I")
+        spirals.append(SpiralIndexTable(length=slen, indices=r.array("<i4")))
+    downs, ups = [], []
+    for _ in range(n_levels - 1):
+        downs.append(_read_operator(r))
+        ups.append(_read_operator(r))
+    r.end()
     return MeshHierarchy(
         levels=tuple(levels), ref_coords=tuple(coords), spirals=tuple(spirals),
         downs=tuple(downs), ups=tuple(ups), factors=factors,

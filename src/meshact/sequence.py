@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfmt import Reader
 from .errors import FormatError, MeshError
 
 SEQ_MAGIC = b"SPTR"
@@ -109,26 +110,14 @@ def save_sequence(path, seq: MeshSequence) -> None:
 
 
 def load_sequence(path, expected_checksum: int | None = None) -> MeshSequence:
-    raw = Path(path).read_bytes()
-    header_size = struct.calcsize("<4sIIIIQ")
-    if len(raw) < header_size:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, vcount, length, label, checksum = struct.unpack_from(
-        "<4sIIIIQ", raw)
-    if magic != SEQ_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {SEQ_MAGIC!r}")
-    if version != SEQ_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    expected = header_size + length * vcount * 3 * 4
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: truncated payload, expected {expected} bytes, got {len(raw)}")
+    r = Reader(path, SEQ_MAGIC, SEQ_VERSION, "sequence")
+    vcount, length, label, checksum = r.unpack("<IIIQ", "sequence header")
+    frames = r.array("<f4", (length, vcount, 3))
+    r.end()
     if expected_checksum is not None and checksum != expected_checksum:
         raise FormatError(
             f"{path}: topology checksum {checksum:#x} does not match "
             f"expected {expected_checksum:#x}")
-    coords = np.frombuffer(raw, dtype="<f4", offset=header_size)
-    frames = coords.reshape(length, vcount, 3).copy()
     return MeshSequence(frames, label=None if label == UNLABELED else int(label),
                         topology_checksum=checksum)
 

@@ -20,9 +20,10 @@ import struct
 import numpy as np
 
 from . import engine
+from .binfmt import Reader
 from .checkpoint import save_checkpoint
 from .engine import Tensor
-from .errors import FormatError, NonFiniteError
+from .errors import NonFiniteError
 from .hierarchy import MeshHierarchy
 from .optim import AdamState, adam_step, glorot_uniform, lr_decay, zeros_param
 from .sampling import SamplingOperator
@@ -286,30 +287,12 @@ def save_embeddings(path, embedded) -> None:
 
 
 def load_embeddings(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != EMB_MAGIC:
-            raise FormatError(f"bad embedding cache magic: expected "
-                              f"{EMB_MAGIC!r}, got {magic!r}")
-        raw = fh.read(12)
-        if len(raw) != 12:
-            raise FormatError("truncated embedding cache header")
-        version, c, count = struct.unpack("<III", raw)
-        if version != EMB_VERSION:
-            raise FormatError(f"unsupported embedding cache version {version}")
-        out = []
-        for i in range(count):
-            raw = fh.read(8)
-            if len(raw) != 8:
-                raise FormatError(f"truncated embedding cache at sequence {i}")
-            length, label = struct.unpack("<II", raw)
-            payload = fh.read(4 * length * c)
-            if len(payload) != 4 * length * c:
-                raise FormatError(f"truncated embedding payload at sequence {i}")
-            emb = np.frombuffer(payload, dtype="<f4").reshape(length, c).copy()
-            out.append((emb, label))
-        trailing = len(fh.read())
-    if trailing:
-        raise FormatError(f"embedding cache has {trailing} trailing bytes "
-                          f"after its last sequence")
+    r = Reader(path, EMB_MAGIC, EMB_VERSION, "embedding cache")
+    c, count = r.unpack("<II", "embedding cache header")
+    out = []
+    for i in range(count):
+        length, label = r.unpack("<II", f"embedding cache at sequence {i}")
+        emb = r.array("<f4", (length, c), f"embedding payload at sequence {i}")
+        out.append((emb, label))
+    r.end()
     return out

@@ -94,8 +94,7 @@ def test_lstm_single_step_matches_gate_equations():
     params = heads.init_lstm_params(rng, c, 2, hidden=hidden, layers=1,
                                     dtype=np.float64)
     x = rng.standard_normal((1, c))
-    out = heads.lstm_forward(params, Tensor(x), hidden=hidden,
-                             layers=1).data
+    out = heads.lstm_forward(params, Tensor(x)).data
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -123,8 +122,7 @@ def test_cnn_zero_padding_matches_explicit_pad():
     params = heads.init_cnn_params(rng, c, 2, channels=(4,), kernel=3,
                                    dtype=np.float64)
     tokens = rng.standard_normal((5, c))
-    out = heads.cnn_forward(params, Tensor(tokens), channels=(4,),
-                            kernel=3).data
+    out = heads.cnn_forward(params, Tensor(tokens)).data
 
     padded = np.vstack([np.zeros((1, c)), tokens, np.zeros((1, c))])
     windows = np.stack([padded[i:i + 3].reshape(-1) for i in range(5)])

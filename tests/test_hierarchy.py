@@ -1,13 +1,14 @@
 """Hierarchy assembly, the on-disk cache and the hierarchy held in
 process."""
 
-import io
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from meshact import hierarchy
+from meshact.binfmt import Reader, write_array
 from meshact.errors import FormatError
 from meshact.hierarchy import (build_hierarchy, get_hierarchy, load_hierarchy,
                                save_hierarchy)
@@ -20,6 +21,18 @@ LENGTHS = (9, 8, 8, 7, 6)
 def _build():
     topo, coords = icosphere(1)
     return build_hierarchy(topo, coords, FACTORS, LENGTHS)
+
+
+def _assert_same(h, fresh):
+    for a, b in zip(h.ref_coords, fresh.ref_coords):
+        assert np.array_equal(a, b)
+    for a, b in zip(h.levels, fresh.levels):
+        assert np.array_equal(a.faces, b.faces)
+    for a, b in zip(h.spirals, fresh.spirals):
+        assert np.array_equal(a.indices, b.indices)
+    for a, b in zip(h.downs + h.ups, fresh.downs + fresh.ups):
+        assert np.array_equal(a.col_idx, b.col_idx)
+        assert np.array_equal(a.weights, b.weights)
 
 
 def test_level_chain_and_tables():
@@ -98,26 +111,47 @@ def test_get_hierarchy_rebuilds_for_a_new_rest_pose(tmp_path, capsys):
     h = get_hierarchy(topo, stretched, FACTORS, LENGTHS,
                       cache_root=str(tmp_path))
     assert "rebuilding hierarchy cache" in capsys.readouterr().err
-    fresh = build_hierarchy(topo, stretched, FACTORS, LENGTHS)
-    for a, b in zip(h.ref_coords, fresh.ref_coords):
-        assert np.array_equal(a, b)
-    for a, b in zip(h.levels, fresh.levels):
-        assert np.array_equal(a.faces, b.faces)
-    for a, b in zip(h.spirals, fresh.spirals):
-        assert np.array_equal(a.indices, b.indices)
-    for a, b in zip(h.downs + h.ups, fresh.downs + fresh.ups):
-        assert np.array_equal(a.col_idx, b.col_idx)
-        assert np.array_equal(a.weights, b.weights)
+    _assert_same(h, build_hierarchy(topo, stretched, FACTORS, LENGTHS))
 
 
-def test_zero_d_array_keeps_its_shape():
-    buf = io.BytesIO()
-    hierarchy._write_array(buf, np.float64(1.5), "<f8")
-    hierarchy._write_array(buf, np.arange(3), "<i4")
-    buf.seek(0)
-    scalar = hierarchy._read_array(buf, "<f8")
+def test_cache_with_trailing_bytes_is_rebuilt(tmp_path, capsys):
+    topo, coords = icosphere(1)
+    path = tmp_path / hierarchy.CACHE_FILENAME
+    save_hierarchy(path, build_hierarchy(topo, coords, FACTORS, LENGTHS))
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(FormatError, match="7 trailing bytes"):
+        load_hierarchy(path, topo.checksum, FACTORS, LENGTHS)
+    h = get_hierarchy(topo, coords, FACTORS, LENGTHS,
+                      cache_root=str(tmp_path))
+    assert "rebuilding hierarchy cache" in capsys.readouterr().err
+    _assert_same(h, build_hierarchy(topo, coords, FACTORS, LENGTHS))
+
+
+def test_every_truncated_cache_is_a_format_error(tmp_path):
+    topo, coords = icosphere(0)
+    path = tmp_path / "hierarchy.bin"
+    save_hierarchy(path, build_hierarchy(topo, coords, (2.0,), (5, 4)))
+    raw = path.read_bytes()
+    # every cut: the header, the key, each level's arrays, both operators
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        expected = "bad hierarchy cache magic" if cut < 4 else \
+            "truncated hierarchy cache"
+        with pytest.raises(FormatError, match=f"^{expected}"):
+            load_hierarchy(path, topo.checksum, (2.0,), (5, 4))
+
+
+def test_zero_d_array_keeps_its_shape(tmp_path):
+    path = tmp_path / "arrays.bin"
+    with open(path, "wb") as fh:
+        fh.write(b"TEST" + struct.pack("<I", 1))
+        write_array(fh, np.float64(1.5), "<f8")
+        write_array(fh, np.arange(3), "<i4")
+    r = Reader(path, b"TEST", 1, "test file")
+    scalar = r.array("<f8")
     assert scalar.shape == () and scalar == 1.5
-    assert hierarchy._read_array(buf, "<i4").shape == (3,)
+    assert r.array("<i4").shape == (3,)
+    r.end()
 
 
 def _count_loads(monkeypatch):

@@ -98,6 +98,29 @@ def test_load_rejects_wrong_magic(tmp_path):
         load_sequence(path)
 
 
+def test_too_long_sequence_names_its_trailing_bytes(tmp_path):
+    path = tmp_path / "a.seq"
+    save_sequence(path, MeshSequence(frames=np.zeros((2, 4, 3))))
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(FormatError, match="7 trailing bytes") as info:
+        load_sequence(path)
+    assert "truncated" not in str(info.value)
+
+
+def test_every_cut_sequence_is_a_format_error(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "a.seq"
+    save_sequence(path, MeshSequence(frames=_frames(rng, 2, 4), label=1,
+                                     topology_checksum=9))
+    raw = path.read_bytes()
+    # every cut: the magic, the header fields, the coordinates
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        expected = "bad sequence magic" if cut < 4 else "truncated sequence"
+        with pytest.raises(FormatError, match=f"^{expected}"):
+            load_sequence(path)
+
+
 def test_manifest_roundtrip(tmp_path):
     rows = [{"path": f"c{i}.seq", "label": i % 3, "subject_id": i // 3}
             for i in range(9)]
