@@ -1,4 +1,5 @@
-"""The one reader of every binary artifact, and the array layout they share.
+"""The one writer and the one reader of every artifact, and the array
+layout the binary ones share.
 
 Checkpoints, `.emb` caches, `.seq` sequences and the hierarchy cache are
 little-endian files that open with a 4-byte magic and a u32 version. A file
@@ -8,17 +9,50 @@ follows the last field. `Reader` checks all of this as a loader walks the
 fields, and every fault is a FormatError worded the same way for each
 artifact and naming its file. A file shorter than its magic has a bad
 magic; the version belongs to the header.
+
+Every artifact is written through `replacing`: `os.replace` renames a
+finished temporary file onto it, so a writer that raises leaves the old file
+whole. There is no fsync, so this guards against an interrupted process,
+not against a machine crash; `gen-data` would pay one flush per sequence.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError
+
+
+@contextlib.contextmanager
+def replacing(path, magic: bytes = b"", version: int = None):
+    """A binary handle on `<path>.<pid>.tmp`, opened with `magic` and the
+    u32 `version` if given, in a directory made if missing. A clean exit
+    renames it onto `path`; an exception deletes it."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(magic)
+            if version is not None:
+                fh.write(struct.pack("<I", version))
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def write_lines(path, lines) -> None:
+    """A text artifact: each line followed by `\\n`, UTF-8, replaced whole."""
+    with replacing(path) as fh:
+        fh.write("".join(f"{line}\n" for line in lines).encode())
 
 
 def write_array(fh, arr, dtype: str) -> None:
@@ -60,6 +94,14 @@ class Reader:
         """The next n bytes, as a view of the file's buffer."""
         start = self._advance(n, None)
         return self._data[start:start + n]
+
+    def text(self) -> str:
+        """A `u32 length | utf-8 bytes` name."""
+        (n,) = self.unpack("<I")
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError:
+            self._fail(f"{self._what} holds a name that is not UTF-8")
 
     def unpack(self, fmt: str, field: str = None) -> tuple:
         start = self._advance(struct.calcsize(fmt), field)

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import struct
 
-import numpy as np
-
-from .binfmt import Reader, write_array
+from .binfmt import Reader, replacing, write_array
 from .engine import Tensor
 from .optim import AdamState
 
@@ -32,8 +30,7 @@ def _write_block(fh, tensors: dict):
     for name in sorted(tensors):
         arr = tensors[name]
         encoded = name.encode("utf-8")
-        fh.write(struct.pack("<I", len(encoded)))
-        fh.write(encoded)
+        fh.write(struct.pack("<I", len(encoded)) + encoded)
         write_array(fh, arr.data if isinstance(arr, Tensor) else arr, "<f4")
 
 
@@ -41,21 +38,16 @@ def _read_block(r: Reader) -> dict:
     (count,) = r.unpack("<I")
     out = {}
     for _ in range(count):
-        (name_len,) = r.unpack("<I")
-        name = str(r.take(name_len), "utf-8")
+        name = r.text()
         out[name] = r.array("<f4")
     return out
 
 
 def save_checkpoint(path, tensors: dict, adam: AdamState = None) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
+    with replacing(path, CKPT_MAGIC, CKPT_VERSION) as fh:
         _write_block(fh, tensors)
-        if adam is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
+        fh.write(struct.pack("<B", adam is not None))
+        if adam is not None:
             fh.write(struct.pack("<Qddd", adam.step_count, adam.beta1,
                                  adam.beta2, adam.epsilon))
             _write_block(fh, adam.first_moment)

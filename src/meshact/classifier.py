@@ -14,6 +14,7 @@ import numpy as np
 
 from . import attention, engine, heads
 from .attention import TransformerConfig
+from .binfmt import write_lines
 from .engine import RowPlan, Tensor
 from .errors import NonFiniteError
 from .optim import AdamState, adam_step, lr_decay
@@ -133,11 +134,8 @@ def confusion_matrix(preds, labels, n_classes: int) -> np.ndarray:
 
 
 def write_metrics_csv(path, metrics) -> None:
-    lines = ["epoch,train_loss,test_accuracy"]
-    for epoch, loss, acc in metrics:
-        lines.append(f"{epoch},{loss!r},{acc!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, ["epoch,train_loss,test_accuracy",
+                       *(f"{e},{loss!r},{acc!r}" for e, loss, acc in metrics)])
 
 
 def read_metrics_csv(path):
@@ -153,9 +151,7 @@ def read_metrics_csv(path):
 
 
 def write_confusion_csv(path, cm: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        for row in cm:
-            fh.write(",".join(str(int(x)) for x in row) + "\n")
+    write_lines(path, (",".join(str(int(x)) for x in row) for row in cm))
 
 
 def head_parameter_counts(cfg: TransformerConfig, lengths) -> list:
@@ -174,8 +170,5 @@ def head_parameter_counts(cfg: TransformerConfig, lengths) -> list:
 
 
 def write_parameter_csv(path, rows) -> None:
-    lines = ["head,frames,param_count"]
-    for kind, length, count in rows:
-        lines.append(f"{kind},{length},{count}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, ["head,frames,param_count",
+                       *(",".join(map(str, row)) for row in rows)])

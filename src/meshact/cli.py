@@ -23,6 +23,7 @@ import numpy as np
 from . import classifier as clf
 from . import spae as spae_mod
 from .attention import PE_MODES
+from .binfmt import write_lines
 from .checkpoint import load_checkpoint, params_from_arrays, save_checkpoint
 from .config import RunConfig, make_config, stage_seed, transformer_config
 from .errors import ConfigError, FormatError, MeshError, NonFiniteError
@@ -85,10 +86,8 @@ def run_gen_data(cfg: RunConfig):
         raise ConfigError(f"classes must be 1..{len(CLASS_NAMES)} "
                           f"(have generators for {', '.join(CLASS_NAMES)})")
     template = resolve_template(cfg.template)
-    os.makedirs(cfg.data_dir, exist_ok=True)
     data_seed = stage_seed(cfg.seed, "data")
     rows = []
-    counts = {}
     for class_id in range(cfg.classes):
         for subject in range(cfg.subjects):
             seq = synth_generate(template, class_id, data_seed + subject,
@@ -97,9 +96,8 @@ def run_gen_data(cfg: RunConfig):
             save_sequence(os.path.join(cfg.data_dir, fname), seq)
             rows.append({"path": fname, "label": class_id,
                          "subject_id": subject})
-        counts[class_id] = cfg.subjects
     write_manifest(_manifest_path(cfg), rows)
-    return counts
+    return {class_id: cfg.subjects for class_id in range(cfg.classes)}
 
 
 def run_build_hierarchy(cfg: RunConfig, rebuild: bool = False):
@@ -141,7 +139,6 @@ def run_train_spae(cfg: RunConfig, log=None):
     frames = np.concatenate([seq.frames for seq, _ in train_seqs], axis=0)
     stats = compute_norm_stats(frames)
     normalized = apply_norm(frames, stats).astype(np.float32)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     extra = {"norm.center": stats.center.astype(np.float32),
              "norm.scale": np.array([stats.scale], dtype=np.float32)}
     params, state, curve = spae_mod.train_spae(
@@ -151,19 +148,32 @@ def run_train_spae(cfg: RunConfig, log=None):
         decay_rate=cfg.spae_decay, weight_decay=cfg.weight_decay,
         seed=stage_seed(cfg.seed, "spae"), checkpoint_dir=cfg.out_dir,
         checkpoint_every=cfg.checkpoint_every, extra_tensors=extra, log=log)
-    loss_path = os.path.join(cfg.out_dir, "spae_loss.csv")
-    with open(loss_path, "w") as fh:
-        fh.write("epoch,train_loss\n")
-        for epoch, loss in enumerate(curve, start=1):
-            fh.write(f"{epoch},{loss!r}\n")
+    write_lines(os.path.join(cfg.out_dir, "spae_loss.csv"),
+                ["epoch,train_loss", *(f"{epoch},{loss!r}" for epoch, loss
+                                       in enumerate(curve, start=1))])
     return params, curve
 
 
-def _load_spae(cfg: RunConfig):
+def _check_fit(path, held: dict, needed: dict, what: str) -> None:
+    """FormatError listing every tensor of the checkpoint at `path` whose
+    name or shape differs from the name -> shape map `what` needs."""
+    misfits = ""
+    for name in sorted(set(held) | set(needed)):
+        have = held[name].shape if name in held else "absent"
+        want = needed.get(name, "absent")
+        if have != want:
+            misfits += f"\n  parameter {name!r} has shape {have}, needs {want}"
+    if misfits:
+        raise FormatError(
+            f"{path} does not fit {what} at this configuration:{misfits}")
+
+
+def _load_spae(cfg: RunConfig, hierarchy):
     path = _require(os.path.join(cfg.out_dir, SPAE_CKPT), "train-spae")
     arrays, _ = load_checkpoint(path)
-    if "norm.center" not in arrays or "norm.scale" not in arrays:
-        raise FormatError(f"{path} lacks normalization tensors")
+    _check_fit(path, arrays, {
+        **spae_mod.spae_param_shapes(hierarchy, cfg.latent_dim),
+        "norm.center": (3,), "norm.scale": (1,)}, "the autoencoder")
     stats = NormStats(center=arrays["norm.center"].astype(np.float64),
                       scale=float(arrays["norm.scale"][0]))
     params = params_from_arrays(
@@ -181,23 +191,20 @@ def _encode_split(cfg: RunConfig, rows, hierarchy, params, stats):
 
 def run_encode(cfg: RunConfig):
     hierarchy = run_build_hierarchy(cfg)
-    params, stats = _load_spae(cfg)
+    params, stats = _load_spae(cfg, hierarchy)
     train_rows, test_rows = _load_split(cfg)
     written = {}
     for rows, fname in ((train_rows, TRAIN_EMB), (test_rows, TEST_EMB)):
         embedded = _encode_split(cfg, rows, hierarchy, params, stats)
-        path = os.path.join(cfg.out_dir, fname)
-        spae_mod.save_embeddings(path, embedded)
+        spae_mod.save_embeddings(os.path.join(cfg.out_dir, fname), embedded)
         written[fname] = len(embedded)
     return written
 
 
 def _load_embeddings_split(cfg: RunConfig):
-    train = spae_mod.load_embeddings(
-        _require(os.path.join(cfg.out_dir, TRAIN_EMB), "encode"))
-    test = spae_mod.load_embeddings(
-        _require(os.path.join(cfg.out_dir, TEST_EMB), "encode"))
-    return train, test
+    return tuple(spae_mod.load_embeddings(
+        _require(os.path.join(cfg.out_dir, fname), "encode"))
+        for fname in (TRAIN_EMB, TEST_EMB))
 
 
 def _train_head(cfg: RunConfig, head: str, tcfg, train, test, stage: str,
@@ -216,7 +223,6 @@ def run_train_classifier(cfg: RunConfig, log=None):
     tcfg = transformer_config(cfg, in_dim)
     params, forward, metrics = _train_head(cfg, cfg.head, tcfg, train, test,
                                            "classifier", log=log)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     save_checkpoint(os.path.join(cfg.out_dir, CLF_CKPT), params)
     clf.write_metrics_csv(os.path.join(cfg.out_dir, "metrics.csv"), metrics)
     return params, metrics
@@ -228,17 +234,11 @@ def run_eval(cfg: RunConfig):
     tcfg = transformer_config(cfg, in_dim)
     path = _require(os.path.join(cfg.out_dir, CLF_CKPT), "train-classifier")
     arrays, _ = load_checkpoint(path)
+    fresh, forward = clf.make_head(cfg.head, tcfg, np.random.default_rng(0),
+                                   length=max(emb.shape[0] for emb, _ in test))
+    _check_fit(path, arrays, {name: p.shape for name, p in fresh.items()},
+               f"head {cfg.head!r}")
     params = params_from_arrays(arrays)
-    rng = np.random.default_rng(0)
-    lengths = {emb.shape[0] for emb, _ in test}
-    fresh, forward = clf.make_head(cfg.head, tcfg, rng, length=max(lengths))
-    for name in sorted(set(fresh) | set(params)):
-        held = params[name].shape if name in params else "absent"
-        needed = fresh[name].shape if name in fresh else "absent"
-        if held != needed:
-            raise FormatError(
-                f"{path}: parameter {name!r} has shape {held}, but head "
-                f"{cfg.head!r} at this configuration needs {needed}")
     acc, preds = clf.evaluate(forward, params, test)
     labels = np.array([label for _, label in test])
     cm = clf.confusion_matrix(preds, labels, tcfg.n_classes)
@@ -249,7 +249,7 @@ def run_eval(cfg: RunConfig):
 def run_sweep_frames(cfg: RunConfig, log=None):
     """Accuracy vs sampled frame count, reusing the trained autoencoder."""
     hierarchy = run_build_hierarchy(cfg)
-    params, stats = _load_spae(cfg)
+    params, stats = _load_spae(cfg, hierarchy)
     train_rows, test_rows = _load_split(cfg)
     results = []
     for n in cfg.sweep_frames:
@@ -260,19 +260,16 @@ def run_sweep_frames(cfg: RunConfig, log=None):
         head_params, forward, metrics = _train_head(cfg, cfg.head, tcfg,
                                                     train, test, "sweep")
         ckpt = os.path.join(cfg.out_dir, f"classifier_frames{n}.ckpt")
-        os.makedirs(cfg.out_dir, exist_ok=True)
         save_checkpoint(ckpt, head_params)
         acc = metrics[-1][2]
         results.append((n, acc, os.path.getsize(ckpt)))
         if log is not None:
             log(n, acc)
-    path = os.path.join(cfg.out_dir, "sweep_frames.csv")
-    with open(path, "w") as fh:
-        fh.write("# published full-scale reference: accuracy peaks at 48 "
-                 "frames (95.42%); 24 frames reach 94.16%\n")
-        fh.write("frames,test_accuracy,checkpoint_bytes\n")
-        for n, acc, size in results:
-            fh.write(f"{n},{acc!r},{size}\n")
+    write_lines(os.path.join(cfg.out_dir, "sweep_frames.csv"), [
+        "# published full-scale reference: accuracy peaks at 48 frames "
+        "(95.42%); 24 frames reach 94.16%",
+        "frames,test_accuracy,checkpoint_bytes",
+        *(f"{n},{acc!r},{size}" for n, acc, size in results)])
     return results
 
 
@@ -289,12 +286,9 @@ def run_sweep_heads(cfg: RunConfig, log=None):
         results.append((head_counts, acc))
         if log is not None:
             log(head_counts, acc)
-    path = os.path.join(cfg.out_dir, "sweep_heads.csv")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("heads,test_accuracy\n")
-        for head_counts, acc in results:
-            fh.write(f"{'-'.join(map(str, head_counts))},{acc!r}\n")
+    write_lines(os.path.join(cfg.out_dir, "sweep_heads.csv"), [
+        "heads,test_accuracy",
+        *(f"{'-'.join(map(str, heads))},{acc!r}" for heads, acc in results)])
     return results
 
 
@@ -410,14 +404,9 @@ def _dispatch(args, cfg: RunConfig) -> int:
         print(f"{len(results) - failed}/{len(results)} checks passed")
         return 0 if failed == 0 else 1
     if args.command == "sweep":
-        if args.axis == "frames":
-            results = run_sweep_frames(
-                cfg, log=lambda n, a: print(f"frames {n}: accuracy {a:.4f}"))
-            print(f"wrote {os.path.join(cfg.out_dir, 'sweep_frames.csv')}")
-        else:
-            results = run_sweep_heads(
-                cfg, log=lambda h, a: print(f"heads {h}: accuracy {a:.4f}"))
-            print(f"wrote {os.path.join(cfg.out_dir, 'sweep_heads.csv')}")
+        sweep = run_sweep_frames if args.axis == "frames" else run_sweep_heads
+        sweep(cfg, log=lambda x, a: print(f"{args.axis} {x}: accuracy {a:.4f}"))
+        print(f"wrote {os.path.join(cfg.out_dir, f'sweep_{args.axis}.csv')}")
         return 0
     raise ConfigError(f"unknown command {args.command!r}")
 

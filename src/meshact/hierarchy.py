@@ -17,17 +17,17 @@ held hierarchy's arrays are read-only, because every caller shares them.
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import struct
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .binfmt import Reader, write_array
+from .binfmt import Reader, replacing, write_array
 from .decimate import qem_decimate
-from .errors import FormatError
+from .errors import FormatError, MeshError
 from .sampling import SamplingOperator
 from .spiral import SpiralIndexTable, build_spiral_table
 from .topology import TemplateTopology, build_topology
@@ -110,24 +110,15 @@ def _read_operator(r: Reader) -> SamplingOperator:
 
 
 def _cache_key(checksum: int, factors, spiral_lengths) -> bytes:
-    buf = io.BytesIO()
-    buf.write(struct.pack("<Q", checksum))
-    buf.write(struct.pack("<I", len(factors)))
-    for f in factors:
-        buf.write(struct.pack("<d", float(f)))
-    buf.write(struct.pack("<I", len(spiral_lengths)))
-    for s in spiral_lengths:
-        buf.write(struct.pack("<I", int(s)))
-    return buf.getvalue()
+    n, m = len(factors), len(spiral_lengths)
+    return struct.pack(f"<QI{n}dI{m}I", checksum, n, *map(float, factors),
+                       m, *map(int, spiral_lengths))
 
 
 def save_hierarchy(path: str, h: MeshHierarchy):
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<I", CACHE_VERSION))
+    with replacing(path, CACHE_MAGIC, CACHE_VERSION) as fh:
         key = _cache_key(h.source_checksum, h.factors, h.spiral_lengths)
-        fh.write(struct.pack("<I", len(key)))
-        fh.write(key)
+        fh.write(struct.pack("<I", len(key)) + key)
         fh.write(struct.pack("<I", h.level_count))
         for topo, coords, spiral in zip(h.levels, h.ref_coords, h.spirals):
             fh.write(struct.pack("<I", topo.vertex_count))
@@ -193,9 +184,7 @@ def get_hierarchy(topology: TemplateTopology, ref_coords: np.ndarray,
     itself, not loaded again. Anything else loads or rebuilds and holds
     the result in its place.
     """
-    root = cache_dir(cache_root)
-    os.makedirs(root, exist_ok=True)
-    path = os.path.abspath(os.path.join(root, CACHE_FILENAME))
+    path = os.path.abspath(os.path.join(cache_dir(cache_root), CACHE_FILENAME))
     ref_coords = np.asarray(ref_coords, dtype=np.float64)
     if os.path.exists(path) and not rebuild:
         digest = _file_digest(path)
@@ -211,7 +200,7 @@ def get_hierarchy(topology: TemplateTopology, ref_coords: np.ndarray,
             if not np.array_equal(h.ref_coords[0], ref_coords):
                 raise FormatError("hierarchy cache holds another rest pose")
             return _hold(path, digest, h)
-        except FormatError as e:
+        except (FormatError, MeshError) as e:
             print(f"rebuilding hierarchy cache: {e}", file=sys.stderr)
     h = build_hierarchy(topology, ref_coords, factors, spiral_lengths)
     save_hierarchy(path, h)
@@ -219,8 +208,7 @@ def get_hierarchy(topology: TemplateTopology, ref_coords: np.ndarray,
 
 
 def _file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _hold(path: str, digest: str, h: MeshHierarchy) -> MeshHierarchy:

@@ -11,13 +11,13 @@ optional action label. The binary sequence format is little-endian:
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .binfmt import Reader
+from .binfmt import Reader, replacing
 from .errors import FormatError, MeshError
 
 SEQ_MAGIC = b"SPTR"
@@ -102,11 +102,10 @@ def uniform_sample_frames(seq: MeshSequence, n: int) -> MeshSequence:
 
 def save_sequence(path, seq: MeshSequence) -> None:
     label = UNLABELED if seq.label is None else int(seq.label)
-    header = struct.pack(
-        "<4sIIIIQ", SEQ_MAGIC, SEQ_VERSION, seq.vertex_count, seq.length,
-        label, seq.topology_checksum)
-    payload = np.ascontiguousarray(seq.frames, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    with replacing(path, SEQ_MAGIC, SEQ_VERSION) as fh:
+        fh.write(struct.pack("<IIIQ", seq.vertex_count, seq.length, label,
+                             seq.topology_checksum))
+        fh.write(np.ascontiguousarray(seq.frames, dtype="<f4").tobytes())
 
 
 def load_sequence(path, expected_checksum: int | None = None) -> MeshSequence:
@@ -124,11 +123,11 @@ def load_sequence(path, expected_checksum: int | None = None) -> MeshSequence:
 
 def write_manifest(path, rows) -> None:
     """Manifest CSV: path,label,subject_id per sequence file."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "label", "subject_id"])
-        for r in rows:
-            writer.writerow([r["path"], r["label"], r["subject_id"]])
+    text = io.StringIO()                    # csv's own \r\n line ends
+    csv.writer(text).writerows([("path", "label", "subject_id")] + [
+        (r["path"], r["label"], r["subject_id"]) for r in rows])
+    with replacing(path) as fh:
+        fh.write(text.getvalue().encode())
 
 
 def read_manifest(path) -> list[dict]:

@@ -20,7 +20,7 @@ import struct
 import numpy as np
 
 from . import engine
-from .binfmt import Reader
+from .binfmt import Reader, replacing
 from .checkpoint import save_checkpoint
 from .engine import Tensor
 from .errors import NonFiniteError
@@ -36,43 +36,45 @@ EMB_MAGIC = b"SPTE"
 EMB_VERSION = 1
 
 
-def init_spae_params(hierarchy: MeshHierarchy, latent_dim: int,
-                     rng: np.random.Generator, dtype=np.float32) -> dict:
-    """Fresh parameter dict; names are stable and checkpoint-friendly."""
+def spae_param_shapes(hierarchy: MeshHierarchy, latent_dim: int) -> dict:
+    """Name -> shape of every parameter, in creation order; names are stable
+    and checkpoint-friendly."""
     if hierarchy.level_count != len(ENCODER_WIDTHS) + 1:
         raise ValueError(
             f"autoencoder needs {len(ENCODER_WIDTHS)} downsampling steps, "
             f"hierarchy has {hierarchy.level_count - 1}")
-    params = {}
+    shapes = {}
     widths_in = (3,) + ENCODER_WIDTHS[:-1]
     for i, (f_in, f_out) in enumerate(zip(widths_in, ENCODER_WIDTHS)):
         l = hierarchy.spirals[i].length
-        params[f"spae.enc.{i}.weight"] = glorot_uniform(
-            rng, l * f_in, f_out, dtype=dtype)
-        params[f"spae.enc.{i}.bias"] = zeros_param((f_out,), dtype=dtype)
-    v_coarsest = hierarchy.levels[-1].vertex_count
-    flat = v_coarsest * ENCODER_WIDTHS[-1]
-    params["spae.fc1.weight"] = glorot_uniform(rng, flat, latent_dim,
-                                               dtype=dtype)
-    params["spae.fc1.bias"] = zeros_param((latent_dim,), dtype=dtype)
-    params["spae.fc2.weight"] = glorot_uniform(rng, latent_dim, flat,
-                                               dtype=dtype)
-    params["spae.fc2.bias"] = zeros_param((flat,), dtype=dtype)
+        shapes[f"spae.enc.{i}.weight"] = (l * f_in, f_out)
+        shapes[f"spae.enc.{i}.bias"] = (f_out,)
+    flat = hierarchy.levels[-1].vertex_count * ENCODER_WIDTHS[-1]
+    shapes["spae.fc1.weight"] = (flat, latent_dim)
+    shapes["spae.fc1.bias"] = (latent_dim,)
+    shapes["spae.fc2.weight"] = (latent_dim, flat)
+    shapes["spae.fc2.bias"] = (flat,)
 
     # Decoder conv i runs at level (levels-2-i) after upsampling for i < 4;
     # conv 4 and the output projection stay at level 0.
     dec_in = (ENCODER_WIDTHS[-1],) + DECODER_WIDTHS[:-1]
     for i, (f_in, f_out) in enumerate(zip(dec_in, DECODER_WIDTHS)):
-        level = _decoder_level(hierarchy, i)
-        l = hierarchy.spirals[level].length
-        params[f"spae.dec.{i}.weight"] = glorot_uniform(
-            rng, l * f_in, f_out, dtype=dtype)
-        params[f"spae.dec.{i}.bias"] = zeros_param((f_out,), dtype=dtype)
+        l = hierarchy.spirals[_decoder_level(hierarchy, i)].length
+        shapes[f"spae.dec.{i}.weight"] = (l * f_in, f_out)
+        shapes[f"spae.dec.{i}.bias"] = (f_out,)
     l0 = hierarchy.spirals[0].length
-    params["spae.out.weight"] = glorot_uniform(
-        rng, l0 * DECODER_WIDTHS[-1], 3, dtype=dtype)
-    params["spae.out.bias"] = zeros_param((3,), dtype=dtype)
-    return params
+    shapes["spae.out.weight"] = (l0 * DECODER_WIDTHS[-1], 3)
+    shapes["spae.out.bias"] = (3,)
+    return shapes
+
+
+def init_spae_params(hierarchy: MeshHierarchy, latent_dim: int,
+                     rng: np.random.Generator, dtype=np.float32) -> dict:
+    """Fresh parameters: Glorot weights in creation order, zero biases."""
+    shapes = spae_param_shapes(hierarchy, latent_dim)
+    return {name: glorot_uniform(rng, *shape, dtype=dtype)
+            if name.endswith(".weight") else zeros_param(shape, dtype=dtype)
+            for name, shape in shapes.items()}
 
 
 def _decoder_level(hierarchy: MeshHierarchy, conv_index: int) -> int:
@@ -243,11 +245,8 @@ def train_spae(frames: np.ndarray, hierarchy: MeshHierarchy, *,
 
 
 def _save(checkpoint_dir, params, state, extra_tensors):
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    tensors = dict(params)
-    if extra_tensors:
-        tensors.update(extra_tensors)
-    save_checkpoint(os.path.join(checkpoint_dir, "spae.ckpt"), tensors, state)
+    save_checkpoint(os.path.join(checkpoint_dir, "spae.ckpt"),
+                    {**params, **(extra_tensors or {})}, state)
 
 
 def encode_dataset(params: dict, hierarchy: MeshHierarchy, sequences,
@@ -275,9 +274,8 @@ def save_embeddings(path, embedded) -> None:
     if not embedded:
         raise ValueError("refusing to write an empty embedding cache")
     c = embedded[0][0].shape[1]
-    with open(path, "wb") as fh:
-        fh.write(EMB_MAGIC)
-        fh.write(struct.pack("<III", EMB_VERSION, c, len(embedded)))
+    with replacing(path, EMB_MAGIC, EMB_VERSION) as fh:
+        fh.write(struct.pack("<II", c, len(embedded)))
         for emb, label in embedded:
             if emb.ndim != 2 or emb.shape[1] != c:
                 raise ValueError(f"embedding block {emb.shape} does not have "

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfmt import write_lines
 from .errors import MeshError
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -183,7 +184,7 @@ def save_template(path, topology: TemplateTopology, coords: np.ndarray) -> None:
     """Write the text-format counterpart of load_template."""
     lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in np.asarray(coords)]
     lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in topology.faces]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def tetrahedron() -> tuple[TemplateTopology, np.ndarray]:

@@ -9,6 +9,7 @@ one analytic gradient entry; it exists to prove the harness can fail.
 
 from __future__ import annotations
 
+import filecmp
 import os
 import tempfile
 from dataclasses import dataclass
@@ -376,22 +377,18 @@ def _check_file_roundtrip() -> CheckResult:
     frames = rng.standard_normal((5, topo.vertex_count, 3)).astype(np.float32)
     seq = MeshSequence(frames=frames, label=2,
                        topology_checksum=topo.checksum)
+    emb = [(rng.standard_normal((4, 6)).astype(np.float32), 1),
+           (rng.standard_normal((3, 6)).astype(np.float32), 0)]
     with tempfile.TemporaryDirectory() as tmp:
-        p1 = os.path.join(tmp, "a.seq")
-        p2 = os.path.join(tmp, "b.seq")
-        save_sequence(p1, seq)
-        save_sequence(p2, load_sequence(p1))
-        with open(p1, "rb") as f1, open(p2, "rb") as f2:
-            seq_ok = f1.read() == f2.read()
-        e1 = os.path.join(tmp, "a.emb")
-        e2 = os.path.join(tmp, "b.emb")
-        emb = [(rng.standard_normal((4, 6)).astype(np.float32), 1),
-               (rng.standard_normal((3, 6)).astype(np.float32), 0)]
-        spae.save_embeddings(e1, emb)
-        spae.save_embeddings(e2, spae.load_embeddings(e1))
-        with open(e1, "rb") as f1, open(e2, "rb") as f2:
-            emb_ok = f1.read() == f2.read()
-    passed = seq_ok and emb_ok
+        same = []
+        for ext, save, load, value in (
+                ("seq", save_sequence, load_sequence, seq),
+                ("emb", spae.save_embeddings, spae.load_embeddings, emb)):
+            a, b = (os.path.join(tmp, f"{name}.{ext}") for name in "ab")
+            save(a, value)
+            save(b, load(a))
+            same.append(filecmp.cmp(a, b, shallow=False))
+    passed = all(same)
     return CheckResult("file_roundtrip", passed, 0.0 if passed else 1.0,
                        "sequence and embedding files bit-exact")
 

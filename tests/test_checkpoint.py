@@ -91,6 +91,16 @@ def test_checkpoint_with_trailing_bytes_is_a_format_error(tmp_path,
         load_checkpoint(path)
 
 
+def test_tensor_name_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, {"w": np.zeros(2, dtype=np.float32)})
+    raw = bytearray(path.read_bytes())
+    raw[16] = 0xFF          # the first byte of the only tensor name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="not UTF-8.*x.ckpt"):
+        load_checkpoint(path)
+
+
 def test_zero_d_tensor_keeps_its_shape(tmp_path):
     path = tmp_path / "x.ckpt"
     tensors = {"t.scalar": np.float32(2.5), "t.vector": np.zeros(3)}

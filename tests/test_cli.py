@@ -2,9 +2,11 @@
 
 import os
 
+import numpy as np
 import pytest
 
-from meshact import cli, engine, hierarchy
+from meshact import cli, engine, hierarchy, spae
+from meshact.checkpoint import save_checkpoint
 from meshact.config import make_config
 from meshact.errors import ConfigError, NonFiniteError
 from meshact.topology import icosphere, save_template, tetrahedron
@@ -246,6 +248,44 @@ def test_eval_with_other_d_model_exits_2(micro, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "parameter 'trf.fc3.weight' has shape (16, 2)" in err
     assert "needs (24, 2)" in err
+
+
+def test_eval_of_a_checkpoint_with_a_non_utf8_name_exits_2(micro, capsys):
+    run, _, out = micro
+    rng = np.random.default_rng(0)
+    emb = [(rng.standard_normal((4, 8)).astype(np.float32), 0)]
+    for name in (cli.TRAIN_EMB, cli.TEST_EMB):
+        spae.save_embeddings(os.path.join(out, name), emb)
+    ckpt = os.path.join(out, cli.CLF_CKPT)
+    save_checkpoint(ckpt, {"w": np.zeros(2, dtype=np.float32)})
+    with open(ckpt, "r+b") as fh:
+        fh.seek(16)         # the first byte of the only tensor name
+        fh.write(b"\xff")
+    assert run("eval") == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, named", [
+    ("spiral_lengths = 7,5,5,4,4",
+     "parameter 'spae.enc.0.weight' has shape (18, 16), needs (21, 16)"),
+    ("latent_dim = 16",
+     "parameter 'spae.fc1.weight' has shape (512, 8), needs (512, 16)")],
+    ids=["spiral_lengths", "latent_dim"])
+def test_encode_with_an_autoencoder_of_another_shape_exits_2(
+        micro, tmp_path, capsys, change, named):
+    run, data, out = micro
+    for command in ("gen-data", "train-spae"):
+        assert run(command) == 0
+    capsys.readouterr()
+    other = tmp_path / "other.cfg"
+    key = change.split(" = ")[0]
+    other.write_text("".join(
+        change + "\n" if line.startswith(key + " ") else line + "\n"
+        for line in MICRO_CFG.format(cache=tmp_path / "cache").splitlines()))
+    assert cli.main(["encode", "--config", str(other), "--data-dir", data,
+                     "--out", out]) == 2
+    assert named in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, cli.TRAIN_EMB))
 
 
 @pytest.mark.parametrize("subjects, fraction, side",

@@ -127,6 +127,25 @@ def test_cache_with_trailing_bytes_is_rebuilt(tmp_path, capsys):
     _assert_same(h, build_hierarchy(topo, coords, FACTORS, LENGTHS))
 
 
+def test_cache_with_a_bad_face_index_is_rebuilt(tmp_path, capsys):
+    topo, coords = icosphere(1)
+    path = tmp_path / hierarchy.CACHE_FILENAME
+    save_hierarchy(path, build_hierarchy(topo, coords, FACTORS, LENGTHS))
+    raw = bytearray(path.read_bytes())
+    key = hierarchy._cache_key(topo.checksum, FACTORS, LENGTHS)
+    # magic, version, key length, key, level count, vertex count, then the
+    # first level's faces as ndim and two dims before the first index
+    first_face = 4 + 4 + 4 + len(key) + 4 + 4 + 4 + 8
+    assert raw[first_face:first_face + 4] == struct.pack(
+        "<i", int(topo.faces[0, 0]))
+    raw[first_face:first_face + 4] = struct.pack("<i", 999)
+    path.write_bytes(bytes(raw))
+    h = get_hierarchy(topo, coords, FACTORS, LENGTHS,
+                      cache_root=str(tmp_path))
+    assert "rebuilding hierarchy cache" in capsys.readouterr().err
+    _assert_same(h, build_hierarchy(topo, coords, FACTORS, LENGTHS))
+
+
 def test_every_truncated_cache_is_a_format_error(tmp_path):
     topo, coords = icosphere(0)
     path = tmp_path / "hierarchy.bin"
