@@ -2,8 +2,8 @@
 stages, evaluate, verify, sweep.
 
 Exit codes: 0 success, 1 verification/eval failure or a numeric abort,
-2 usage/configuration/input errors. All stages are deterministic for a
-fixed seed.
+2 usage/configuration/input errors and files that cannot be read or
+written (any OSError). All stages are deterministic for a fixed seed.
 
 The run_* functions do the work on plain config values and return results;
 the cmd_* wrappers add argument parsing and printing, and tests drive the
@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _dispatch(args, cfg)
-    except (ConfigError, MeshError, FormatError, FileNotFoundError) as e:
+    except (ConfigError, MeshError, FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NonFiniteError as e:

@@ -29,7 +29,11 @@ Design points:
   * no general broadcasting. The few mixed-shape patterns that the models
     need (bias rows, row means, sparse operators) are dedicated ops with
     hand-written backward rules; matmul, transpose and softmax_rows also
-    take one leading batch axis, for per-sequence attention scores.
+    take one leading batch axis, for per-sequence attention scores;
+  * threads: no-grad forwards on separate inputs may run at the same time
+    (they share only read-only parameters and plans); a graph and its
+    backward() belong to one thread; `RowPlan.backward` is built only by a
+    backward pass, so concurrent no-grad forwards never build it.
 """
 
 from __future__ import annotations

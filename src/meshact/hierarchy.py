@@ -20,6 +20,7 @@ import hashlib
 import os
 import struct
 import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,8 +57,11 @@ class MeshHierarchy:
     factors: tuple
     spiral_lengths: tuple
     source_checksum: int
-    # batch size -> spae's RowPlans; a dataclasses.replace copy starts empty
+    # batch size -> spae's RowPlans, built under plans_lock; a
+    # dataclasses.replace copy starts empty
     plans: dict = field(default_factory=dict, init=False, compare=False)
+    plans_lock: threading.Lock = field(default_factory=threading.Lock,
+                                       init=False, compare=False, repr=False)
 
     @property
     def level_count(self) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -111,16 +112,18 @@ def _level_plans(hierarchy: MeshHierarchy, batch: int):
     They live as long as the hierarchy, which `get_hierarchy` holds for
     the whole process, so each batch size is planned once per process.
     Nothing is evicted: the sizes seen are the training batch, the encode
-    chunk and their remainders.
+    chunk and their remainders. The hierarchy's lock makes get-or-build one
+    step, so threads that encode at once still plan each size once.
     """
-    plans = hierarchy.plans.get(batch)
-    if plans is None:
-        plans = hierarchy.plans[batch] = (
-            [engine.RowPlan.gather(batched_spiral_indices(t, batch),
-                                   batch * t.vertex_count)
-             for t in hierarchy.spirals[:-1]],
-            [batched_sampling(op, batch) for op in hierarchy.downs],
-            [batched_sampling(op, batch) for op in hierarchy.ups])
+    with hierarchy.plans_lock:
+        plans = hierarchy.plans.get(batch)
+        if plans is None:
+            plans = hierarchy.plans[batch] = (
+                [engine.RowPlan.gather(batched_spiral_indices(t, batch),
+                                       batch * t.vertex_count)
+                 for t in hierarchy.spirals[:-1]],
+                [batched_sampling(op, batch) for op in hierarchy.downs],
+                [batched_sampling(op, batch) for op in hierarchy.ups])
     return plans
 
 
@@ -254,19 +257,49 @@ def encode_dataset(params: dict, hierarchy: MeshHierarchy, sequences,
     """Per-frame embeddings for whole sequences.
 
     `sequences` yields (frames (L, V, 3) normalized, label) pairs; returns a
-    list of ((L, C) float32 array, label). Order is preserved and frames are
+    list of ((L, C) float32 array, label) in input order. Frames are
     independent, so chunking is purely a batching detail.
+
+    Sequences are dealt into one share per CPU this process may run on. The
+    calling thread encodes the first share and a pool thread each other
+    one; numpy releases the GIL in BLAS and its array loops, so the shares
+    run at once, if BLAS runs one thread per call (a threaded BLAS competes
+    with them for the same cores; see README). Each sequence goes through
+    the same `encode_batch` calls as on one thread, so every code has the
+    same bytes. Keeping a share on the calling thread keeps its working
+    set in the heap that earlier stages already grew, not in a fresh
+    malloc arena of a pool thread.
     """
     frozen = frozen_params(params)
-    out = []
-    for frames, label in sequences:
-        frames = np.asarray(frames, dtype=np.float32)
-        rows = []
-        for start in range(0, len(frames), chunk):
-            codes = encode_batch(frozen, hierarchy, frames[start:start + chunk])
-            rows.append(codes.data.astype(np.float32))
-        out.append((np.concatenate(rows, axis=0), int(label)))
+    pairs = list(sequences)
+    n = max(1, min(_usable_cpus(), len(pairs)))
+
+    def encode_share(share):
+        out = []
+        for frames, label in share:
+            frames = np.asarray(frames, dtype=np.float32)
+            rows = [encode_batch(frozen, hierarchy, frames[start:start + chunk])
+                    .data for start in range(0, len(frames), chunk)]
+            codes = np.concatenate(rows, axis=0).astype(np.float32, copy=False)
+            out.append((codes, int(label)))
+        return out
+
+    with ThreadPoolExecutor(max_workers=max(n - 1, 1)) as pool:
+        futures = [pool.submit(encode_share, pairs[k::n])
+                   for k in range(1, n)]
+        shares = [encode_share(pairs[::n])]
+        shares += [f.result() for f in futures]
+    out = [None] * len(pairs)
+    for k, share in enumerate(shares):
+        out[k::n] = share
     return out
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; all of them where the OS cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def save_embeddings(path, embedded) -> None:

@@ -154,6 +154,21 @@ def test_unknown_template_exits_2(tmp_path, capsys):
     assert "template" in capsys.readouterr().err
 
 
+def test_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("template = icosphere1\nclasses = 1\nsubjects = 1\n"
+                   "sequence_length = 4\nframes = 4\n")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    data = afile / "data"
+    assert cli.main(["gen-data", "--config", str(cfg),
+                     "--data-dir", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
+    assert str(data) in err
+    assert afile.read_text() == ""
+
+
 def test_numeric_failure_exits_1(micro, monkeypatch, capsys):
     run, _, _ = micro
 

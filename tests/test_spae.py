@@ -2,6 +2,9 @@
 
 import dataclasses
 import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 
 from meshact import engine, spae
 from meshact.engine import Tensor
+from meshact.errors import NonFiniteError
 from meshact.hierarchy import build_hierarchy
 from meshact.spiral import PAD_SENTINEL
 from meshact.topology import icosphere
@@ -187,18 +191,115 @@ def test_embeddings_file_roundtrip(tmp_path):
         assert a.tobytes() == b.tobytes()
 
 
-def test_encode_dataset_matches_encode_batch():
+def _serial_encode(params, h, seqs, chunk=32):
+    """The oracle: on this thread, each sequence's chunks of `chunk` frames
+    through `encode_batch`, in order."""
+    frozen = spae.frozen_params(params)
+    return [(np.concatenate([spae.encode_batch(frozen, h,
+                                               Tensor(frames[s:s + chunk])).data
+                             for s in range(0, len(frames), chunk)]), label)
+            for frames, label in seqs]
+
+
+def _assert_same_codes(out, expected):
+    assert len(out) == len(expected)
+    for (emb, label), (want, want_label) in zip(out, expected):
+        assert label == want_label
+        assert emb.dtype == np.float32 and emb.shape == want.shape
+        assert emb.tobytes() == want.tobytes()
+
+
+def _sequences(rng, lengths):
+    return [(rng.standard_normal((n, 42, 3)).astype(np.float32), i % 3 + 1)
+            for i, n in enumerate(lengths)]
+
+
+def _recording_encode_batch(monkeypatch):
+    """Patch spae.encode_batch to record (thread id, batch size) per call."""
+    calls = []
+    real = spae.encode_batch
+
+    def recorded(params, hierarchy, frames):
+        calls.append((threading.get_ident(), len(frames)))
+        return real(params, hierarchy, frames)
+    monkeypatch.setattr(spae, "encode_batch", recorded)
+    return calls
+
+
+def test_encode_dataset_matches_encode_batch(monkeypatch):
     rng = np.random.default_rng(9)
     h = _hierarchy()
     params = spae.init_spae_params(h, 8, rng)
-    seqs = [(rng.standard_normal((6, 42, 3)).astype(np.float32), 1),
-            (rng.standard_normal((4, 42, 3)).astype(np.float32), 2)]
-    out = spae.encode_dataset(params, h, seqs)
-    frozen = spae.frozen_params(params)
-    for (frames, label), (emb, out_label) in zip(seqs, out):
-        assert out_label == label
-        direct = spae.encode_batch(frozen, h, Tensor(frames)).data
-        assert np.abs(emb - direct).max() < 1e-5
+    # 70 frames: two full chunks of 32 and a remainder of 6
+    seqs = _sequences(rng, (6, 4, 70))
+    expected = _serial_encode(params, h, seqs)
+    calls = _recording_encode_batch(monkeypatch)
+    _assert_same_codes(spae.encode_dataset(params, h, seqs), expected)
+    assert sorted(size for _, size in calls) == [4, 6, 6, 32, 32]
+
+
+def test_encode_dataset_keeps_order_with_more_sequences_than_cpus(
+        monkeypatch):
+    rng = np.random.default_rng(12)
+    h = _hierarchy()
+    params = spae.init_spae_params(h, 8, rng)
+    seqs = _sequences(rng, (5, 1, 7, 2, 40, 3, 6, 4))
+    expected = _serial_encode(params, h, seqs)
+    monkeypatch.setattr(spae, "_usable_cpus", lambda: 3)
+    calls = _recording_encode_batch(monkeypatch)
+    _assert_same_codes(spae.encode_dataset(params, h, seqs), expected)
+    # a pool thread that finishes its share early may take the next one
+    threads = {thread for thread, _ in calls}
+    assert threading.get_ident() in threads and len(threads) >= 2
+    assert spae.encode_dataset(params, h, []) == []
+
+
+def test_non_finite_frame_on_a_pool_thread_raises(monkeypatch):
+    rng = np.random.default_rng(13)
+    h = _hierarchy()
+    params = spae.init_spae_params(h, 8, rng)
+    seqs = _sequences(rng, (4, 4))
+    seqs[1][0][2, 5, 0] = np.nan       # the second share's only sequence
+    monkeypatch.setattr(spae, "_usable_cpus", lambda: 2)
+    calls = _recording_encode_batch(monkeypatch)
+    with pytest.raises(NonFiniteError):
+        spae.encode_dataset(params, h, seqs)
+    assert len({thread for thread, _ in calls}) == 2
+
+
+def test_concurrent_plan_requests_build_each_plan_once(monkeypatch):
+    h = _hierarchy(short_spirals=True)
+    built = []
+    real = engine.RowPlan.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        time.sleep(0.001)        # widen any gap between lookup and store
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(engine.RowPlan, "__init__", counted)
+    workers = 6                  # more threads than the host has cores
+    barrier = threading.Barrier(workers)
+    got = [None] * workers
+
+    def request(i):
+        barrier.wait(timeout=10)
+        got[i] = spae._level_plans(h, 5)
+    threads = [threading.Thread(target=request, args=(i,))
+               for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(plans is got[0] for plans in got)
+    spirals, downs, ups = got[0]
+    assert [id(p) for p in built] == [id(p) for p in (*spirals, *downs, *ups)]
+    assert list(h.plans) == [5]
 
 
 def test_plans_are_built_once_per_batch_size(monkeypatch):
