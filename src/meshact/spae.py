@@ -14,9 +14,11 @@ tables per frame, which keeps all compute inside a few large matmuls.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +34,10 @@ from .spiral import PAD_SENTINEL, SpiralIndexTable
 
 ENCODER_WIDTHS = (16, 32, 64, 128)
 DECODER_WIDTHS = (128, 64, 32, 32, 16)
+
+# At most this many threads encode at once. Each pool thread keeps its own
+# malloc arena: with 8 shares forced on 2 CPUs, peak RSS rose 12-14 %.
+ENCODE_THREADS_MAX = 4
 
 EMB_MAGIC = b"SPTE"
 EMB_VERSION = 1
@@ -260,19 +266,17 @@ def encode_dataset(params: dict, hierarchy: MeshHierarchy, sequences,
     list of ((L, C) float32 array, label) in input order. Frames are
     independent, so chunking is purely a batching detail.
 
-    Sequences are dealt into one share per CPU this process may run on. The
-    calling thread encodes the first share and a pool thread each other
-    one; numpy releases the GIL in BLAS and its array loops, so the shares
-    run at once, if BLAS runs one thread per call (a threaded BLAS competes
-    with them for the same cores; see README). Each sequence goes through
-    the same `encode_batch` calls as on one thread, so every code has the
-    same bytes. Keeping a share on the calling thread keeps its working
-    set in the heap that earlier stages already grew, not in a fresh
-    malloc arena of a pool thread.
+    Sequences are dealt into `_encode_threads()` shares. The calling thread
+    encodes the first share and a pool thread each other one; numpy
+    releases the GIL in BLAS and its array loops, so the shares run at
+    once. Each sequence goes through the same `encode_batch` calls as on
+    one thread, so every code has the same bytes. Keeping a share on the
+    calling thread keeps its working set in the heap that earlier stages
+    already grew, not in a fresh malloc arena of a pool thread.
     """
     frozen = frozen_params(params)
     pairs = list(sequences)
-    n = max(1, min(_usable_cpus(), len(pairs)))
+    n = max(1, min(_encode_threads(), len(pairs)))
 
     def encode_share(share):
         out = []
@@ -284,7 +288,11 @@ def encode_dataset(params: dict, hierarchy: MeshHierarchy, sequences,
             out.append((codes, int(label)))
         return out
 
-    with ThreadPoolExecutor(max_workers=max(n - 1, 1)) as pool:
+    if n == 1:
+        return encode_share(pairs)
+    # imported here: only a threaded encode pays its ~6 ms import
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=n - 1) as pool:
         futures = [pool.submit(encode_share, pairs[k::n])
                    for k in range(1, n)]
         shares = [encode_share(pairs[::n])]
@@ -295,11 +303,52 @@ def encode_dataset(params: dict, hierarchy: MeshHierarchy, sequences,
     return out
 
 
+def _encode_threads() -> int:
+    """Threads `encode_dataset` uses: one per CPU this process may run on,
+    at most ENCODE_THREADS_MAX, and one only unless numpy's BLAS runs one
+    thread per call. A BLAS that runs its own thread per core already has
+    the cores, and encode threads on top of it made encode slower (README).
+    CPU quotas of a cgroup are not consulted; the cap bounds the threads a
+    quota-limited process on a large host starts.
+    """
+    if _blas_threads() != 1:
+        return 1
+    return min(_usable_cpus(), ENCODE_THREADS_MAX)
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on; all of them where the OS cannot say."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _blas_threads():
+    """Threads numpy's BLAS runs per call, or None where it cannot be asked
+    (any BLAS but the OpenBLAS that numpy's wheels bundle)."""
+    getter = _blas_thread_getter()
+    return getter() if getter is not None else None
+
+
+@functools.cache
+def _blas_thread_getter():
+    """OpenBLAS's get-num-threads function in the library that numpy's
+    wheels bundle in numpy.libs, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(dll, name):
+                getter = getattr(dll, name)
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                return getter
+    return None
 
 
 def save_embeddings(path, embedded) -> None:

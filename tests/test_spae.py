@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -245,6 +246,7 @@ def test_encode_dataset_keeps_order_with_more_sequences_than_cpus(
     params = spae.init_spae_params(h, 8, rng)
     seqs = _sequences(rng, (5, 1, 7, 2, 40, 3, 6, 4))
     expected = _serial_encode(params, h, seqs)
+    monkeypatch.setattr(spae, "_blas_threads", lambda: 1)
     monkeypatch.setattr(spae, "_usable_cpus", lambda: 3)
     calls = _recording_encode_batch(monkeypatch)
     _assert_same_codes(spae.encode_dataset(params, h, seqs), expected)
@@ -260,11 +262,53 @@ def test_non_finite_frame_on_a_pool_thread_raises(monkeypatch):
     params = spae.init_spae_params(h, 8, rng)
     seqs = _sequences(rng, (4, 4))
     seqs[1][0][2, 5, 0] = np.nan       # the second share's only sequence
+    monkeypatch.setattr(spae, "_blas_threads", lambda: 1)
     monkeypatch.setattr(spae, "_usable_cpus", lambda: 2)
     calls = _recording_encode_batch(monkeypatch)
     with pytest.raises(NonFiniteError):
         spae.encode_dataset(params, h, seqs)
     assert len({thread for thread, _ in calls}) == 2
+
+
+@pytest.mark.parametrize("blas_threads", [2, 8, None])
+def test_encode_stays_on_the_calling_thread_beside_a_threaded_blas(
+        monkeypatch, blas_threads):
+    # None: a BLAS that cannot be asked
+    rng = np.random.default_rng(14)
+    h = _hierarchy()
+    params = spae.init_spae_params(h, 8, rng)
+    seqs = _sequences(rng, (3, 5, 2, 4))
+    expected = _serial_encode(params, h, seqs)
+    monkeypatch.setattr(spae, "_blas_threads", lambda: blas_threads)
+    monkeypatch.setattr(spae, "_usable_cpus", lambda: 4)
+    calls = _recording_encode_batch(monkeypatch)
+    _assert_same_codes(spae.encode_dataset(params, h, seqs), expected)
+    assert {thread for thread, _ in calls} == {threading.get_ident()}
+
+
+def test_encode_threads_are_capped(monkeypatch):
+    rng = np.random.default_rng(15)
+    h = _hierarchy()
+    params = spae.init_spae_params(h, 8, rng)
+    seqs = _sequences(rng, [2] * 40)
+    expected = _serial_encode(params, h, seqs)
+    monkeypatch.setattr(spae, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(spae, "_usable_cpus", lambda: 64)
+    assert spae._encode_threads() == spae.ENCODE_THREADS_MAX
+    calls = _recording_encode_batch(monkeypatch)
+    _assert_same_codes(spae.encode_dataset(params, h, seqs), expected)
+    assert len({thread for thread, _ in calls}) <= spae.ENCODE_THREADS_MAX
+
+
+def test_blas_threads_reads_the_running_blas():
+    if spae._blas_thread_getter() is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    code = "from meshact import spae; print(spae._blas_threads())"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(spae.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "1"
 
 
 def test_concurrent_plan_requests_build_each_plan_once(monkeypatch):
