@@ -3,9 +3,9 @@
 Every head exposes forward(params, tokens): (B, L, C) tokens give
 (B, n_classes) logits through the same engine, and an (L, C) sequence is
 the B=1 case. So one loop covers the lot: one graph per mini-batch,
-cross-entropy, Adam with per-epoch lr decay, per-epoch test accuracy from
-one forward over the split. All heads therefore emit the same metrics
-schema and are directly comparable.
+cross-entropy, per-epoch test accuracy from one forward over the split,
+and the autoencoder's training policy, `optim.train_epochs`. All heads
+therefore emit the same metrics schema and are directly comparable.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from . import attention, engine, heads
 from .attention import TransformerConfig
 from .binfmt import write_lines
 from .engine import RowPlan, Tensor
-from .errors import NonFiniteError
-from .optim import AdamState, adam_step, lr_decay
+from .optim import AdamState, adam_step, train_epochs
 
 HEAD_KINDS = ("transformer", "mlp", "lstm", "cnn")
 
@@ -82,39 +81,25 @@ def train_head(kind: str, cfg: TransformerConfig, train_set, test_set, *,
                weight_decay: float, batch_size: int, seed: int, log=None):
     """Returns (params, forward, metrics rows (epoch, train_loss, test_acc)).
 
-    Each mini-batch's graph is released before the next one is built.
+    Runs through `optim.train_epochs`, adding per-epoch test accuracy.
     """
     if not train_set:
         raise ValueError("empty training set")
-    lengths = {emb.shape[0] for emb, _ in train_set}
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1]))
-    params, forward = make_head(kind, cfg, rng, length=max(lengths))
-    state = AdamState()
-    n = len(train_set)
+    params, forward = make_head(kind, cfg, rng, length=max(
+        emb.shape[0] for emb, _ in train_set))
     metrics = []
-    for epoch in range(1, epochs + 1):
-        lr = lr_decay(learning_rate, epoch - 1, decay_rate)
-        order = rng.permutation(n)
-        total, count = 0.0, 0
-        for it, start in enumerate(range(0, n, batch_size)):
-            chosen = order[start:start + batch_size]
-            logits = batch_logits(forward, params,
-                                  [train_set[i][0] for i in chosen])
-            labels = np.array([train_set[i][1] for i in chosen])
-            try:
-                loss = engine.cross_entropy(logits, labels)
-                loss.backward()
-            except NonFiniteError as e:
-                raise NonFiniteError(
-                    f"epoch {epoch} iteration {it}: {e}") from e
-            adam_step(params, state, lr, weight_decay)
-            total += loss.item() * len(chosen)
-            count += len(chosen)
-            del loss, logits  # build the next graph with this one released
-        acc, _ = evaluate(forward, params, test_set)
-        metrics.append((epoch, total / count, acc))
+    for epoch, loss in train_epochs(
+            params, AdamState(), len(train_set),
+            lambda chosen: engine.cross_entropy(batch_logits(
+                forward, params, [train_set[i][0] for i in chosen]),
+                np.array([train_set[i][1] for i in chosen])),
+            adam_step, epochs=epochs, batch_size=batch_size,
+            learning_rate=learning_rate, decay_rate=decay_rate,
+            weight_decay=weight_decay, rng=rng):
+        metrics.append((epoch, loss, evaluate(forward, params, test_set)[0]))
         if log is not None:
-            log(epoch, total / count, acc)
+            log(*metrics[-1])
     return params, forward, metrics
 
 

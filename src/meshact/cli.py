@@ -6,8 +6,7 @@ Exit codes: 0 success, 1 verification/eval failure or a numeric abort,
 written (any OSError). All stages are deterministic for a fixed seed.
 
 The run_* functions do the work on plain config values and return results;
-the cmd_* wrappers add argument parsing and printing, and tests drive the
-run_* layer directly.
+`main` parses arguments and prints, and tests drive the run_* layer.
 """
 
 from __future__ import annotations

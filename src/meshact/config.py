@@ -142,12 +142,18 @@ def make_config(config_path=None, overrides: dict = None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    if cfg.classes < 1:
-        raise ConfigError("classes must be >= 1")
+    for key in ("classes", "frames", "sequence_length", "latent_dim",
+                "spae_epochs", "spae_lr", "spae_batch", "checkpoint_every",
+                "d_model", "ff_mult", "trf_epochs", "trf_lr", "trf_batch"):
+        if not getattr(cfg, key) > 0:
+            raise ConfigError(f"{key} must be positive")
+    if not all(h > 0 for hs in (cfg.heads, *cfg.sweep_heads) for h in hs):
+        raise ConfigError("every heads and sweep_heads entry must be positive")
+    for key in ("spae_decay", "trf_decay"):
+        if not 0.0 < getattr(cfg, key) <= 1.0:
+            raise ConfigError(f"{key} must be in (0, 1]")
     if not 0.0 < cfg.split_fraction < 1.0:
         raise ConfigError("split_fraction must be in (0, 1)")
-    if cfg.frames < 1 or cfg.sequence_length < 1:
-        raise ConfigError("frames and sequence_length must be positive")
     if cfg.frames > cfg.sequence_length:
         raise ConfigError(f"cannot sample {cfg.frames} frames from "
                           f"{cfg.sequence_length}-frame sequences")

@@ -1,4 +1,5 @@
-"""Adam with decoupled weight decay, the lr schedule, and weight init."""
+"""Adam with decoupled weight decay, the lr schedule, weight init, and
+`train_epochs`, the one training loop (and policy) of both stages."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Tensor
+from .errors import NonFiniteError
 
 
 @dataclass
@@ -69,6 +71,33 @@ def lr_decay(lr: float, epoch: int, rate: float) -> float:
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"decay rate must be in (0, 1], got {rate}")
     return lr * rate ** epoch
+
+
+def train_epochs(params: dict, state: AdamState, n: int, loss_of, step, *,
+                 epochs: int, batch_size: int, learning_rate: float,
+                 decay_rate: float, weight_decay: float, rng):
+    """The training loop of both stages; yields (epoch, mean loss) per epoch.
+
+    Per epoch: the decayed lr and one permutation of range(n) drawn from
+    `rng`; per slice, `loss_of(indices)`, its backward, then `step` (the
+    caller's `adam_step`). A non-finite value names epoch and iteration.
+    """
+    for epoch in range(1, epochs + 1):
+        lr = lr_decay(learning_rate, epoch - 1, decay_rate)
+        order = rng.permutation(n)
+        total = 0.0
+        for it, start in enumerate(range(0, n, batch_size)):
+            chosen = order[start:start + batch_size]
+            try:
+                loss = loss_of(chosen)
+                loss.backward()
+            except NonFiniteError as e:
+                raise NonFiniteError(
+                    f"epoch {epoch} iteration {it}: {e}") from e
+            step(params, state, lr, weight_decay)
+            total += loss.item() * len(chosen)
+            del loss      # build the next graph with this one released
+        yield epoch, total / n
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,

@@ -10,6 +10,7 @@ projection to 3 coordinate channels with no activation.
 Frames are processed in mini-batches by stacking them into one
 (batch*V, F) feature matrix and offsetting the spiral/sampling index
 tables per frame, which keeps all compute inside a few large matmuls.
+Training (Adam, per-epoch lr decay, shuffling) runs in optim.train_epochs.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from . import engine
 from .binfmt import Reader, replacing
 from .checkpoint import save_checkpoint
 from .engine import Tensor
-from .errors import NonFiniteError
 from .hierarchy import MeshHierarchy
-from .optim import AdamState, adam_step, glorot_uniform, lr_decay, zeros_param
+from .optim import (AdamState, adam_step, glorot_uniform, train_epochs,
+                    zeros_param)
 from .sampling import SamplingOperator
 from .spiral import PAD_SENTINEL, SpiralIndexTable
 
@@ -212,11 +213,8 @@ def train_spae(frames: np.ndarray, hierarchy: MeshHierarchy, *,
                extra_tensors=None, log=None):
     """Reconstruction training over individual (already normalized) frames.
 
-    Returns (params, AdamState, per-epoch mean loss list). Frames are
-    shuffled each epoch; the learning rate decays per epoch. Each step's
-    graph is released before the next one is built, so one graph and its
-    gradients are alive at a time. A non-finite loss aborts with the
-    epoch/iteration in the message.
+    Returns (params, AdamState, per-epoch mean loss list). Runs through
+    `optim.train_epochs`, adding the curve, `log` and the checkpoints.
     """
     frames = np.asarray(frames, dtype=np.float32)
     if frames.ndim != 3 or len(frames) == 0:
@@ -224,38 +222,22 @@ def train_spae(frames: np.ndarray, hierarchy: MeshHierarchy, *,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xAE]))
     params = init_spae_params(hierarchy, latent_dim, rng)
     state = AdamState()
-    n = len(frames)
     curve = []
-    for epoch in range(1, epochs + 1):
-        lr = lr_decay(learning_rate, epoch - 1, decay_rate)
-        order = rng.permutation(n)
-        total, count = 0.0, 0
-        for it, start in enumerate(range(0, n, batch_size)):
-            batch = frames[order[start:start + batch_size]]
-            try:
-                loss = reconstruction_loss(params, hierarchy, batch)
-                loss.backward()
-            except NonFiniteError as e:
-                raise NonFiniteError(
-                    f"epoch {epoch} iteration {it}: {e}") from e
-            adam_step(params, state, lr, weight_decay)
-            total += loss.item() * len(batch)
-            count += len(batch)
-            del loss      # build the next graph with this one released
-        curve.append(total / count)
+    for epoch, loss in train_epochs(
+            params, state, len(frames),
+            lambda chosen: reconstruction_loss(params, hierarchy,
+                                               frames[chosen]),
+            adam_step, epochs=epochs, batch_size=batch_size,
+            learning_rate=learning_rate, decay_rate=decay_rate,
+            weight_decay=weight_decay, rng=rng):
+        curve.append(loss)
         if log is not None:
-            log(epoch, curve[-1])
+            log(epoch, loss)
         if checkpoint_dir is not None and (
                 epoch % checkpoint_every == 0 or epoch == epochs):
-            _save(checkpoint_dir, params, state, extra_tensors)
-    if checkpoint_dir is not None and epochs == 0:
-        _save(checkpoint_dir, params, state, extra_tensors)
+            save_checkpoint(os.path.join(checkpoint_dir, "spae.ckpt"),
+                            {**params, **(extra_tensors or {})}, state)
     return params, state, curve
-
-
-def _save(checkpoint_dir, params, state, extra_tensors):
-    save_checkpoint(os.path.join(checkpoint_dir, "spae.ckpt"),
-                    {**params, **(extra_tensors or {})}, state)
 
 
 def encode_dataset(params: dict, hierarchy: MeshHierarchy, sequences,

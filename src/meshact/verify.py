@@ -420,7 +420,7 @@ def run_checks(inject_fault: str = None) -> list:
     if inject_fault is not None and inject_fault not in FAULT_TARGETS:
         raise ValueError(f"unknown fault target {inject_fault!r}; "
                          f"choose from {', '.join(FAULT_TARGETS)}")
-    results = [
+    return [
         _check_gradient_ops(inject_fault == "gradient_ops"),
         _check_gradient_spae(inject_fault == "gradient_spae"),
         _check_gradient_attention(inject_fault == "gradient_attention"),
@@ -431,4 +431,3 @@ def run_checks(inject_fault: str = None) -> list:
         _check_file_roundtrip(),
         _check_adam(),
     ]
-    return results

@@ -11,6 +11,7 @@ from meshact.classifier import (confusion_matrix, evaluate,
                                 write_confusion_csv, write_metrics_csv,
                                 write_parameter_csv)
 from meshact.engine import Tensor
+from meshact.errors import NonFiniteError
 
 
 def _cfg(c=4, n_classes=2):
@@ -92,6 +93,16 @@ def test_train_head_rejects_empty_train_set():
         train_head("transformer", _cfg(), [], [], epochs=1,
                    learning_rate=1e-3, decay_rate=1.0, weight_decay=0.0,
                    batch_size=1, seed=0)
+
+
+@pytest.mark.parametrize("kind", classifier.HEAD_KINDS)
+def test_non_finite_embedding_names_epoch_and_iteration(kind):
+    # the head's forward, not only its loss, runs where an abort is labelled
+    train = _toy_set(np.random.default_rng(4), 6)
+    train[3][0][1, 2] = np.nan
+    with pytest.raises(NonFiniteError, match=r"^epoch 1 iteration \d+: "):
+        train_head(kind, _cfg(), train, [], epochs=1, learning_rate=1e-3,
+                   decay_rate=1.0, weight_decay=0.0, batch_size=2, seed=0)
 
 
 def test_confusion_matrix_matches_counting_loop():

@@ -146,6 +146,19 @@ def test_too_many_classes_exits_2(tmp_path, capsys):
     assert "classes must be" in capsys.readouterr().err
 
 
+def test_train_spae_with_checkpoint_every_0_exits_2(micro, tmp_path, capsys):
+    run, data, out = micro
+    assert run("gen-data") == 0
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(MICRO_CFG.format(cache=tmp_path / "cache").replace(
+        "checkpoint_every = 100", "checkpoint_every = 0"))
+    capsys.readouterr()
+    assert cli.main(["train-spae", "--config", str(bad), "--data-dir", data,
+                     "--out", out]) == 2
+    assert "checkpoint_every" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "spae.ckpt"))
+
+
 def test_unknown_template_exits_2(tmp_path, capsys):
     cfg = tmp_path / "t.cfg"
     cfg.write_text("template = dodecahedron\n")

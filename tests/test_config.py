@@ -86,10 +86,47 @@ def test_unknown_override_key():
     {"factors": "4,4", "spiral_lengths": "12,11"},  # needs 3 lengths
     {"head": "gru"},
     {"pe": "rotary"},
+    # each of these crashed a stage or let the pipeline run on a 0-wide model
+    {"spae_epochs": 0},
+    {"trf_epochs": 0},
+    {"spae_batch": 0},
+    {"trf_batch": -1},
+    {"checkpoint_every": 0},
+    {"spae_decay": 0.0},
+    {"spae_decay": 1.5},
+    {"trf_decay": -0.5},
+    {"trf_decay": float("nan")},
+    {"d_model": 0},
+    {"heads": "2,0,2"},
+    {"sweep_heads": "1,1;0,0"},
+    {"latent_dim": 0},
+    {"ff_mult": 0},
+    {"spae_lr": 0.0},
+    {"trf_lr": -1e-4},
 ])
 def test_validation_rejects_bad_configs(overrides):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         make_config(None, overrides)
+    # the message names the key (the pe one says "positional encoding")
+    assert "pe" in overrides or any(key in str(err.value) for key in overrides)
+
+
+def test_benchmark_settings_validate():
+    # DESK and each workload's overrides, read from bench/run.py's source
+    # without importing it (its import sets BLAS variables)
+    import ast
+    from pathlib import Path
+    source = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    literals = {}
+    for node in ast.parse(source.read_text()).body:
+        name = getattr(node, "targets", [None])[0]
+        if isinstance(name, ast.Name) and name.id in ("DESK", "WORKLOADS"):
+            literals[name.id] = node.value
+    desk = ast.literal_eval(literals["DESK"])
+    workloads = literals["WORKLOADS"].values
+    assert workloads
+    for call in workloads:
+        make_config(None, {**desk, **ast.literal_eval(call.args[0])})
 
 
 def test_desk_profile_parses_and_validates():

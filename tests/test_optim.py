@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from meshact import engine
 from meshact.engine import Tensor
+from meshact.errors import NonFiniteError
 from meshact.optim import (AdamState, adam_step, glorot_uniform, lr_decay,
-                           ones_param, zeros_param)
+                           ones_param, train_epochs, zeros_param)
 
 
 def _param(values):
@@ -123,3 +125,75 @@ def test_zero_and_one_inits():
     assert np.array_equal(z.data, np.zeros(3, dtype=np.float32))
     assert np.array_equal(o.data, np.ones(4, dtype=np.float32))
     assert z.requires_grad and o.requires_grad
+
+
+# A least-squares fit over 7 samples: batches of 3 leave a tail of 1.
+_X = np.random.default_rng(5).standard_normal((7, 3))
+_Y = _X @ np.array([[1.0], [-2.0], [0.5]])
+
+
+def _fit_loss(w, chosen):
+    d = engine.sub(engine.matmul(Tensor(_X[chosen]), w), Tensor(_Y[chosen]))
+    return engine.mean(engine.mul(d, d))
+
+
+def test_train_epochs_matches_a_hand_written_loop():
+    schedule = dict(learning_rate=0.1, decay_rate=0.9, weight_decay=0.01)
+    w = _param(np.zeros((3, 1)))
+    state, rng = AdamState(), np.random.default_rng(3)
+    lrs = []
+
+    def step(params, st, lr, wd):
+        lrs.append(lr)
+        adam_step(params, st, lr, wd)
+
+    got = list(train_epochs({"w": w}, state, 7, lambda c: _fit_loss(w, c),
+                            step, epochs=4, batch_size=3, rng=rng,
+                            **schedule))
+
+    ref_w = _param(np.zeros((3, 1)))
+    ref_state, ref_rng = AdamState(), np.random.default_rng(3)
+    want, want_lrs = [], []
+    for epoch in range(1, 5):
+        lr = 0.1 * 0.9 ** (epoch - 1)
+        order = ref_rng.permutation(7)
+        total = 0.0
+        for start in range(0, 7, 3):
+            chosen = order[start:start + 3]
+            loss = _fit_loss(ref_w, chosen)
+            loss.backward()
+            adam_step({"w": ref_w}, ref_state, lr, 0.01)
+            want_lrs.append(lr)
+            total += loss.item() * len(chosen)
+        want.append((epoch, total / 7))
+    assert got == want
+    assert lrs == want_lrs
+    assert w.data.tobytes() == ref_w.data.tobytes()
+    assert state.step_count == 12
+
+
+def test_train_epochs_with_no_epochs_yields_nothing_and_draws_nothing():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    epochs = train_epochs({}, AdamState(), 5, None, None, epochs=0,
+                          batch_size=2, learning_rate=0.1, decay_rate=1.0,
+                          weight_decay=0.0, rng=rng)
+    assert list(epochs) == []
+    assert rng.bit_generator.state == before
+
+
+def test_train_epochs_names_the_epoch_and_iteration_of_a_non_finite_value():
+    w = _param(np.zeros((3, 1)))
+    calls = []
+
+    def loss_of(chosen):
+        calls.append(len(chosen))
+        if len(calls) == 5:            # epoch 2, iteration 1
+            raise NonFiniteError("matmul produced 1 non-finite value(s)")
+        return _fit_loss(w, chosen)
+
+    with pytest.raises(NonFiniteError, match=r"^epoch 2 iteration 1: matmul"):
+        list(train_epochs({"w": w}, AdamState(), 7, loss_of, adam_step,
+                          epochs=3, batch_size=3, learning_rate=0.1,
+                          decay_rate=1.0, weight_decay=0.0,
+                          rng=np.random.default_rng(0)))
