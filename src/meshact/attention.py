@@ -137,23 +137,15 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return engine.matmul(attention_weights(q, k), v)
 
 
-def positional_encoding(length: int, d_model: int, mode: str) -> np.ndarray:
-    """Per-position signal added to tokens before the first layer.
-
-    Sinusoidal: even columns sin(pos/10000^(col/d)), odd columns cos of the
-    same frequency, so position 0 reads [0, 1, 0, 1, ...]. Learned mode is
-    handled by the caller (it slices the trainable table); this function
-    covers the fixed modes.
-    """
-    if mode == "none":
-        return np.zeros((length, d_model), dtype=np.float32)
-    if mode == "sinusoidal":
-        pos = np.arange(length, dtype=np.float64)[:, None]
-        col = np.arange(d_model, dtype=np.float64)[None, :]
-        angle = pos / np.power(10000.0, 2.0 * np.floor(col / 2.0) / d_model)
-        pe = np.where(col % 2 == 0, np.sin(angle), np.cos(angle))
-        return pe.astype(np.float32)
-    raise ConfigError(f"unknown positional encoding {mode!r}")
+def positional_encoding(length: int, d_model: int) -> np.ndarray:
+    """Sinusoidal positions added to tokens before the first layer: even
+    columns sin(pos/10000^(col/d)), odd columns cos of the same frequency,
+    so position 0 reads [0, 1, 0, 1, ...]."""
+    pos = np.arange(length, dtype=np.float64)[:, None]
+    col = np.arange(d_model, dtype=np.float64)[None, :]
+    angle = pos / np.power(10000.0, 2.0 * np.floor(col / 2.0) / d_model)
+    return np.where(col % 2 == 0, np.sin(angle),
+                    np.cos(angle)).astype(np.float32)
 
 
 def mhsa_layer(x: Tensor, params: dict, cfg: TransformerConfig,
@@ -206,12 +198,13 @@ def forward_sequence(params: dict, cfg: TransformerConfig,
         if length > cfg.pe_capacity:
             raise ConfigError(f"sequence length {length} exceeds the learned "
                               f"position table capacity {cfg.pe_capacity}")
-        x = engine.add(x, engine.sparse_mm(
-            batching.tile_plan(batch, length, cfg.pe_capacity),
-            params["trf.pe.table"]))
+        table = params["trf.pe.table"]
     elif cfg.pe_mode == "sinusoidal":
-        pe = positional_encoding(length, cfg.d_model, "sinusoidal")
-        x = engine.add(x, Tensor(np.tile(pe.astype(x.data.dtype), (batch, 1))))
+        table = Tensor(positional_encoding(length, cfg.d_model)
+                       .astype(x.data.dtype))
+    if cfg.pe_mode != "none":
+        x = engine.add(x, engine.sparse_mm(
+            batching.tile_plan(batch, length, table.shape[0]), table))
     for i in range(len(cfg.heads)):
         x = mhsa_layer(x, params, cfg, i, batch)
     x = engine.layernorm_rows(x, params["trf.final_ln.gamma"],

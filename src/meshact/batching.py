@@ -4,9 +4,9 @@ Every classifier head stacks B sequences of L tokens as B*L rows,
 sequence-major: row b*L + t holds token t of sequence b. Row-wise ops
 (projections, layer norm, feed-forward) then run once per mini-batch. The
 fixed selections between this layout and others (pooling, per-sequence
-picks, time-major order, tiled tables) are constant RowPlans applied with
-engine.sparse_mm; each is built once per (B, L) and cached, so a training
-step builds none.
+picks, time-major order, position tables tiled per sequence, zero-padded
+temporal windows) are constant RowPlans applied with engine.sparse_mm;
+each is built once per (B, L) and cached, so a training step builds none.
 """
 
 from __future__ import annotations
@@ -72,3 +72,20 @@ def prepend_plan(batch: int, length: int) -> RowPlan:
     first = np.zeros((batch, 1), dtype=rows.dtype)
     return RowPlan.gather(np.concatenate([first, rows], axis=1),
                           1 + batch * length)
+
+
+def _window_indices(length: int, kernel: int) -> np.ndarray:
+    """(L, kernel) row indices centered per step; -1 marks zero padding."""
+    half = kernel // 2
+    idx = np.arange(length)[:, None] + np.arange(-half, kernel - half)[None, :]
+    return np.where((idx < 0) | (idx >= length), -1, idx).astype(np.int64)
+
+
+@lru_cache(maxsize=CACHED_PLANS)
+def window_plan(batch: int, length: int, kernel: int) -> RowPlan:
+    """(B*L*kernel, B*L): every row's zero-padded window, kept within its
+    own sequence; one plan serves all conv layers of a (B, L) batch."""
+    win = _window_indices(length, kernel)
+    offsets = (np.arange(batch) * length)[:, None, None]
+    return RowPlan.gather(np.where(win < 0, -1, win[None] + offsets),
+                          batch * length)

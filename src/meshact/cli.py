@@ -247,6 +247,14 @@ def run_eval(cfg: RunConfig):
 
 def run_sweep_frames(cfg: RunConfig, log=None):
     """Accuracy vs sampled frame count, reusing the trained autoencoder."""
+    top = cfg.sequence_length
+    if cfg.head == "transformer" and cfg.pe == "learned":
+        top = min(top, cfg.pe_capacity - cfg.class_token)
+    bad = [n for n in cfg.sweep_frames if not 0 < n <= top]
+    if bad:
+        raise ConfigError(f"sweep_frames {bad}: entries must be in 1..{top}, "
+                          "set by sequence_length and, for learned positions, "
+                          "by pe_capacity less the class token")
     hierarchy = run_build_hierarchy(cfg)
     params, stats = _load_spae(cfg, hierarchy)
     train_rows, test_rows = _load_split(cfg)

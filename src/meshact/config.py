@@ -8,7 +8,8 @@ out to fixed per-stage seeds so any stage can be reproduced on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -32,8 +33,8 @@ class RunConfig:
     frames: int = 24               # frames sampled per sequence (N)
     split_fraction: float = 0.8
     # hierarchy
-    factors: tuple = (4.0, 4.0, 4.0, 4.0)
-    spiral_lengths: tuple = (12, 11, 10, 9, 8)
+    factors: tuple[float, ...] = (4.0, 4.0, 4.0, 4.0)
+    spiral_lengths: tuple[int, ...] = (12, 11, 10, 9, 8)
     # autoencoder training
     latent_dim: int = 1024
     spae_epochs: int = 300
@@ -45,7 +46,7 @@ class RunConfig:
     # temporal classifier
     head: str = "transformer"
     d_model: int = 128
-    heads: tuple = (2, 2, 2)
+    heads: tuple[int, ...] = (2, 2, 2)
     ff_mult: int = 2
     pe: str = "sinusoidal"
     pe_capacity: int = 192
@@ -55,8 +56,9 @@ class RunConfig:
     trf_decay: float = 0.7
     trf_batch: int = 8
     # sweep axes
-    sweep_frames: tuple = (16, 24, 48, 96, 192)
-    sweep_heads: tuple = ((1, 1, 1), (2, 2, 2), (4, 4, 4))
+    sweep_frames: tuple[int, ...] = (16, 24, 48, 96, 192)
+    sweep_heads: tuple[tuple[int, ...], ...] = ((1, 1, 1), (2, 2, 2),
+                                                 (4, 4, 4))
 
 
 def _parse_bool(s: str) -> bool:
@@ -68,36 +70,22 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_int_tuple(s: str) -> tuple:
-    return tuple(int(x) for x in str(s).split(",") if x.strip())
+def _parser(kind):
+    """The parser of one config value from the field's type: bool words,
+    or a tuple of its item type, separated by commas at the innermost
+    level and by semicolons above it ("1,1,1;2,2,2")."""
+    if kind is bool:
+        return _parse_bool
+    if get_origin(kind) is not tuple:
+        return kind
+    item = get_args(kind)[0]
+    parse, sep = _parser(item), ";" if get_origin(item) is tuple else ","
+    return lambda s: tuple(parse(part) for part in str(s).split(sep)
+                           if part.strip())
 
 
-def _parse_float_tuple(s: str) -> tuple:
-    return tuple(float(x) for x in str(s).split(",") if x.strip())
-
-
-def _parse_head_list(s: str) -> tuple:
-    # e.g. "1,1,1;2,2,2;4,4,4"
-    return tuple(_parse_int_tuple(part) for part in str(s).split(";")
-                 if part.strip())
-
-
-_PARSERS = {
-    "template": str, "data_dir": str, "cache_dir": str, "out_dir": str,
-    "seed": int,
-    "classes": int, "subjects": int, "sequence_length": int, "frames": int,
-    "split_fraction": float,
-    "factors": _parse_float_tuple, "spiral_lengths": _parse_int_tuple,
-    "latent_dim": int, "spae_epochs": int, "spae_lr": float,
-    "spae_decay": float, "spae_batch": int, "weight_decay": float,
-    "checkpoint_every": int,
-    "head": str, "d_model": int, "heads": _parse_int_tuple, "ff_mult": int,
-    "pe": str, "pe_capacity": int, "class_token": _parse_bool,
-    "trf_epochs": int, "trf_lr": float, "trf_decay": float, "trf_batch": int,
-    "sweep_frames": _parse_int_tuple, "sweep_heads": _parse_head_list,
-}
-
-assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
+_PARSERS = {name: _parser(kind)
+            for name, kind in get_type_hints(RunConfig).items()}
 
 
 def parse_config_file(path) -> dict:

@@ -155,6 +155,9 @@ class _CollapseState:
         return common == self.shared_face_opposites(u, v)
 
     def collapse(self, keep: int, drop: int):
+        """Merge `drop` into `keep`. Faces of both die, and every other face
+        of `drop` is rewritten to name `keep`, so an alive face always names
+        three distinct alive vertices."""
         dead = self.vertex_faces[keep] & self.vertex_faces[drop]
         for fi in dead:
             self.face_alive[fi] = False
@@ -193,8 +196,6 @@ def qem_decimate(topology: TemplateTopology, ref_coords: np.ndarray,
             f"is not a strict reduction (minimum level size is {MIN_LEVEL_SIZE})")
 
     state = _CollapseState(topology, coords)
-    merged_into = np.arange(n, dtype=np.int64)
-
     heap = []
 
     def push(u, v):
@@ -223,17 +224,9 @@ def qem_decimate(topology: TemplateTopology, ref_coords: np.ndarray,
         if not state.collapse_is_legal(a, b):
             continue
         state.collapse(keep, drop)
-        merged_into[drop] = keep
         remaining -= 1
         for w in state.neighbors[keep]:
             push(keep, w)
-
-    # Resolve merge chains (drop -> keep -> ...) to final survivors.
-    def resolve(v):
-        while merged_into[v] != v:
-            merged_into[v] = merged_into[merged_into[v]]
-            v = merged_into[v]
-        return v
 
     survivors = np.flatnonzero(state.alive)
     fine_to_coarse = {int(f): c for c, f in enumerate(survivors)}
@@ -243,9 +236,7 @@ def qem_decimate(topology: TemplateTopology, ref_coords: np.ndarray,
     for fi, f in enumerate(state.faces):
         if not state.face_alive[fi]:
             continue
-        mapped = tuple(fine_to_coarse[resolve(w)] for w in f)
-        if len(set(mapped)) < 3:
-            continue
+        mapped = tuple(fine_to_coarse[w] for w in f)
         k = mapped.index(min(mapped))
         canon = mapped[k:] + mapped[:k]
         if canon in seen_faces:

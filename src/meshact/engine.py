@@ -434,24 +434,23 @@ def _grad_to_write(x: Tensor) -> np.ndarray:
     return x.grad
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2 or not 0 <= start < stop <= x.shape[0]:
-        raise ValueError(f"slice_rows[{start}:{stop}] invalid for {x.shape}")
+def _slice(x: Tensor, axis: int, start: int, stop: int, op: str) -> Tensor:
+    """A copy of x[start:stop] along `axis` (0 rows, 1 columns) of 2-D x."""
+    if x.data.ndim != 2 or not 0 <= start < stop <= x.shape[axis]:
+        raise ValueError(f"{op}[{start}:{stop}] invalid for {x.shape}")
+    index = (slice(None),) * axis + (slice(start, stop),)
 
     def bwd(g):
-        _grad_to_write(x)[start:stop] += g
-    return _make(x.data[start:stop].copy(), "slice_rows", (x,), bwd,
-                 copy=True)
+        _grad_to_write(x)[index] += g
+    return _make(x.data[index].copy(), op, (x,), bwd, copy=True)
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    return _slice(x, 0, start, stop, "slice_rows")
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2 or not 0 <= start < stop <= x.shape[1]:
-        raise ValueError(f"slice_cols[{start}:{stop}] invalid for {x.shape}")
-
-    def bwd(g):
-        _grad_to_write(x)[:, start:stop] += g
-    return _make(x.data[:, start:stop].copy(), "slice_cols", (x,), bwd,
-                 copy=True)
+    return _slice(x, 1, start, stop, "slice_cols")
 
 
 def sparse_mm(plan: RowPlan, x: Tensor) -> Tensor:

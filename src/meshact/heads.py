@@ -14,12 +14,10 @@ loop is head-agnostic. Tokens are stacked as B*L rows (batching.py):
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import batching, engine
-from .engine import RowPlan, Tensor
+from .engine import Tensor
 from .optim import glorot_uniform, zeros_param
 
 MLP_HIDDEN = (128, 64, 32)
@@ -134,28 +132,11 @@ def init_cnn_params(rng, in_dim: int, n_classes: int,
     return p
 
 
-def _window_indices(length: int, kernel: int) -> np.ndarray:
-    """(L, kernel) row indices centered per step; -1 marks zero padding."""
-    half = kernel // 2
-    idx = np.arange(length)[:, None] + np.arange(-half, kernel - half)[None, :]
-    return np.where((idx < 0) | (idx >= length), -1, idx).astype(np.int64)
-
-
-@lru_cache(maxsize=batching.CACHED_PLANS)
-def window_plan(batch: int, length: int, kernel: int) -> RowPlan:
-    """(B*L*kernel, B*L): every row's zero-padded window, kept within its
-    own sequence; one plan serves all conv layers of a (B, L) batch."""
-    win = _window_indices(length, kernel)
-    offsets = (np.arange(batch) * length)[:, None, None]
-    return RowPlan.gather(np.where(win < 0, -1, win[None] + offsets),
-                          batch * length)
-
-
 def cnn_forward(params: dict, tokens) -> Tensor:
     """Conv count and kernel are those of `params` (conv0: kernel*C rows)."""
     x, batch, length = batching.stack_rows(tokens)
     kernel = params["cnn.conv0.weight"].shape[0] // x.shape[1]
-    windows = window_plan(batch, length, kernel)
+    windows = batching.window_plan(batch, length, kernel)
     for i in range(sum(name.startswith("cnn.conv") and name.endswith(".weight")
                        for name in params)):
         c_in = x.shape[1]

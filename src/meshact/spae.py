@@ -27,6 +27,7 @@ from . import engine
 from .binfmt import Reader, replacing
 from .checkpoint import save_checkpoint
 from .engine import Tensor
+from .errors import ConfigError
 from .hierarchy import MeshHierarchy
 from .optim import (AdamState, adam_step, glorot_uniform, train_epochs,
                     zeros_param)
@@ -44,35 +45,38 @@ EMB_MAGIC = b"SPTE"
 EMB_VERSION = 1
 
 
-def spae_param_shapes(hierarchy: MeshHierarchy, latent_dim: int) -> dict:
-    """Name -> shape of every parameter, in creation order; names are stable
-    and checkpoint-friendly."""
-    if hierarchy.level_count != len(ENCODER_WIDTHS) + 1:
-        raise ValueError(
-            f"autoencoder needs {len(ENCODER_WIDTHS)} downsampling steps, "
-            f"hierarchy has {hierarchy.level_count - 1}")
-    shapes = {}
-    widths_in = (3,) + ENCODER_WIDTHS[:-1]
-    for i, (f_in, f_out) in enumerate(zip(widths_in, ENCODER_WIDTHS)):
-        l = hierarchy.spirals[i].length
-        shapes[f"spae.enc.{i}.weight"] = (l * f_in, f_out)
-        shapes[f"spae.enc.{i}.bias"] = (f_out,)
-    flat = hierarchy.levels[-1].vertex_count * ENCODER_WIDTHS[-1]
-    shapes["spae.fc1.weight"] = (flat, latent_dim)
-    shapes["spae.fc1.bias"] = (latent_dim,)
-    shapes["spae.fc2.weight"] = (latent_dim, flat)
-    shapes["spae.fc2.bias"] = (flat,)
+def spiral_convs(hierarchy: MeshHierarchy) -> list:
+    """Every spiral conv in call order: (parameter prefix, level, in width,
+    out width). Encoder conv i runs at level i before downsample i, decoder
+    conv i at level max(3 - i, 0) after an upsample to it where it is finer
+    than the last, and the output projection at level 0."""
+    n = len(ENCODER_WIDTHS)
+    if hierarchy.level_count != n + 1:
+        raise ConfigError(f"factors: the autoencoder needs {n} downsampling "
+                          f"steps, the hierarchy has {hierarchy.level_count - 1}")
+    enc = (3,) + ENCODER_WIDTHS
+    dec = (ENCODER_WIDTHS[-1],) + DECODER_WIDTHS + (3,)
+    return ([(f"spae.enc.{i}", i, enc[i], enc[i + 1]) for i in range(n)]
+            + [(f"spae.dec.{i}", max(n - 1 - i, 0), dec[i], dec[i + 1])
+               for i in range(len(DECODER_WIDTHS))]
+            + [("spae.out", 0, dec[-2], dec[-1])])
 
-    # Decoder conv i runs at level (levels-2-i) after upsampling for i < 4;
-    # conv 4 and the output projection stay at level 0.
-    dec_in = (ENCODER_WIDTHS[-1],) + DECODER_WIDTHS[:-1]
-    for i, (f_in, f_out) in enumerate(zip(dec_in, DECODER_WIDTHS)):
-        l = hierarchy.spirals[_decoder_level(hierarchy, i)].length
-        shapes[f"spae.dec.{i}.weight"] = (l * f_in, f_out)
-        shapes[f"spae.dec.{i}.bias"] = (f_out,)
-    l0 = hierarchy.spirals[0].length
-    shapes["spae.out.weight"] = (l0 * DECODER_WIDTHS[-1], 3)
-    shapes["spae.out.bias"] = (3,)
+
+def spae_param_shapes(hierarchy: MeshHierarchy, latent_dim: int) -> dict:
+    """Name -> shape of every parameter, in creation order: encoder convs,
+    the fully connected pair, decoder convs. Names are stable and
+    checkpoint-friendly."""
+    flat = hierarchy.levels[-1].vertex_count * ENCODER_WIDTHS[-1]
+    shapes = {}
+    for prefix, level, f_in, f_out in spiral_convs(hierarchy):
+        if prefix == "spae.dec.0":
+            shapes.update({"spae.fc1.weight": (flat, latent_dim),
+                           "spae.fc1.bias": (latent_dim,),
+                           "spae.fc2.weight": (latent_dim, flat),
+                           "spae.fc2.bias": (flat,)})
+        shapes[f"{prefix}.weight"] = (hierarchy.spirals[level].length * f_in,
+                                      f_out)
+        shapes[f"{prefix}.bias"] = (f_out,)
     return shapes
 
 
@@ -83,11 +87,6 @@ def init_spae_params(hierarchy: MeshHierarchy, latent_dim: int,
     return {name: glorot_uniform(rng, *shape, dtype=dtype)
             if name.endswith(".weight") else zeros_param(shape, dtype=dtype)
             for name, shape in shapes.items()}
-
-
-def _decoder_level(hierarchy: MeshHierarchy, conv_index: int) -> int:
-    top = hierarchy.level_count - 1
-    return max(top - 1 - conv_index, 0)
 
 
 def batched_spiral_indices(table: SpiralIndexTable, batch: int) -> np.ndarray:
@@ -158,11 +157,11 @@ def encode_batch(params: dict, hierarchy: MeshHierarchy, frames) -> Tensor:
                          f"{hierarchy.levels[0].vertex_count}")
     spirals, downs, _ = _level_plans(hierarchy, b)
     x = engine.reshape(frames, (b * v, 3))
-    for i in range(len(ENCODER_WIDTHS)):
-        x = engine.elu(spiral_conv(x, spirals[i],
-                                   params[f"spae.enc.{i}.weight"],
-                                   params[f"spae.enc.{i}.bias"]))
-        x = engine.sparse_mm(downs[i], x)
+    for (prefix, level, _, _), down in zip(spiral_convs(hierarchy), downs):
+        x = engine.elu(spiral_conv(x, spirals[level],
+                                   params[f"{prefix}.weight"],
+                                   params[f"{prefix}.bias"]))
+        x = engine.sparse_mm(down, x)
     v_top = hierarchy.levels[-1].vertex_count
     x = engine.reshape(x, (b, v_top * ENCODER_WIDTHS[-1]))
     return engine.add_bias(engine.matmul(x, params["spae.fc1.weight"]),
@@ -178,16 +177,14 @@ def decode_batch(params: dict, hierarchy: MeshHierarchy,
     x = engine.add_bias(engine.matmul(codes, params["spae.fc2.weight"]),
                         params["spae.fc2.bias"])
     x = engine.reshape(x, (b * v_top, ENCODER_WIDTHS[-1]))
-    n_up = hierarchy.level_count - 1
-    for i in range(len(DECODER_WIDTHS)):
-        if i < n_up:
-            x = engine.sparse_mm(ups[n_up - 1 - i], x)
-        level = _decoder_level(hierarchy, i)
-        x = engine.elu(spiral_conv(x, spirals[level],
-                                   params[f"spae.dec.{i}.weight"],
-                                   params[f"spae.dec.{i}.bias"]))
-    x = spiral_conv(x, spirals[0], params["spae.out.weight"],
-                    params["spae.out.bias"])
+    at = len(ups)
+    for prefix, level, _, _ in spiral_convs(hierarchy)[len(ENCODER_WIDTHS):]:
+        if level < at:
+            x, at = engine.sparse_mm(ups[level], x), level
+        x = spiral_conv(x, spirals[level], params[f"{prefix}.weight"],
+                        params[f"{prefix}.bias"])
+        if prefix != "spae.out":
+            x = engine.elu(x)
     v0 = hierarchy.levels[0].vertex_count
     return engine.reshape(x, (b, v0, 3))
 

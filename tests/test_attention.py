@@ -113,27 +113,18 @@ def test_zeroed_projection_makes_layer_identity():
     assert np.abs(out.data - x.data).max() == 0.0
 
 
-def test_positional_encoding_none_is_zero():
-    assert not positional_encoding(7, 8, "none").any()
-
-
 def test_sinusoidal_position_zero_alternates():
-    pe = positional_encoding(5, 8, "sinusoidal")
+    pe = positional_encoding(5, 8)
     assert np.abs(pe[0] - np.array([0, 1, 0, 1, 0, 1, 0, 1])).max() < 1e-7
     assert np.abs(pe).max() <= 1.0 + 1e-7
 
 
 def test_sinusoidal_frozen_values():
-    pe = positional_encoding(3, 4, "sinusoidal").astype(np.float64)
+    pe = positional_encoding(3, 4).astype(np.float64)
     assert abs(pe[1, 0] - 0.8414709848078965) < 1e-7   # sin(1)
     assert abs(pe[1, 1] - 0.5403023058681398) < 1e-7   # cos(1)
     assert abs(pe[1, 2] - 0.009999833334166664) < 1e-7  # sin(1/100)
     assert abs(pe[1, 3] - 0.9999500004166653) < 1e-7   # cos(1/100)
-
-
-def test_positional_encoding_unknown_mode():
-    with pytest.raises(ConfigError):
-        positional_encoding(4, 4, "learned")  # caller-handled, not here
 
 
 def test_learned_table_capacity_enforced():

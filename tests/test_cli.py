@@ -358,3 +358,35 @@ def test_sweep_frames_and_heads(micro, tmp_path, capsys):
         lines = fh.read().splitlines()
     assert lines[0] == "heads,test_accuracy"
     assert [line.split(",")[0] for line in lines[1:]] == ["1-1", "2-2"]
+
+
+@pytest.mark.parametrize("extra, named", [
+    ("sweep_frames = 4,16\n", "sweep_frames [16]"),
+    ("sweep_frames = 4,8\npe = learned\npe_capacity = 8\nclass_token = 1\n",
+     "sweep_frames [8]")], ids=["sequence_length", "pe_capacity"])
+def test_sweep_frames_beyond_what_a_sequence_holds_exits_2(
+        micro, tmp_path, capsys, extra, named):
+    run, _, out = micro
+    cfg = tmp_path / "micro.cfg"
+    cfg.write_text(cfg.read_text() + extra)
+    for command in ("gen-data", "train-spae", "encode"):
+        assert run(command) == 0
+    capsys.readouterr()
+    assert run("sweep", "--axis", "frames") == 2
+    assert named in capsys.readouterr().err
+    # checked before the first point trains
+    assert not os.path.exists(os.path.join(out, "classifier_frames4.ckpt"))
+
+
+def test_train_spae_with_three_factors_exits_2(micro, tmp_path, capsys):
+    run, _, out = micro
+    cfg = tmp_path / "micro.cfg"
+    cfg.write_text(cfg.read_text().replace(
+        "factors = 2,2,2,2\nspiral_lengths = 6,5,5,4,4",
+        "factors = 2,2,2\nspiral_lengths = 6,5,5,4"))
+    for command in ("gen-data", "build-hierarchy"):
+        assert run(command) == 0
+    capsys.readouterr()
+    assert run("train-spae") == 2
+    assert "factors" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "spae.ckpt"))

@@ -1,5 +1,7 @@
 """Run configuration: file parsing, overrides, validation, stage seeds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,27 @@ def test_parse_file_with_comments_and_blanks(tmp_path):
     assert values == {"latent_dim": 64, "factors": (2.0, 2.0),
                       "spiral_lengths": (9, 8, 7), "class_token": True,
                       "sweep_heads": ((1, 1), (2, 2))}
+
+
+def test_every_default_reads_back_from_a_file(tmp_path):
+    # each key's parser comes from its field's type: write every default
+    # the way a config file spells it and read it back unchanged
+    def spell(value):
+        if isinstance(value, bool):
+            return "yes" if value else "no"
+        if isinstance(value, tuple):
+            sep = ";" if value and isinstance(value[0], tuple) else ","
+            return sep.join(spell(v) for v in value)
+        return str(value)
+    defaults = {f.name: getattr(RunConfig(), f.name)
+                for f in dataclasses.fields(RunConfig)}
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {spell(v)}\n"
+                            for k, v in defaults.items()))
+    values = parse_config_file(path)
+    assert values == defaults
+    assert [type(v) for v in values.values()] == \
+        [type(v) for v in defaults.values()]
 
 
 def test_parse_file_rejects_unknown_key(tmp_path):

@@ -109,7 +109,7 @@ def test_lstm_single_step_matches_gate_equations():
 
 
 def test_cnn_window_indices_pad_with_sentinel():
-    idx = heads._window_indices(6, 5)
+    idx = batching._window_indices(6, 5)
     assert idx.shape == (6, 5)
     assert idx[0].tolist() == [-1, -1, 0, 1, 2]
     assert idx[3].tolist() == [1, 2, 3, 4, 5]
@@ -209,7 +209,7 @@ def test_cnn_builds_one_window_plan_per_batch_shape(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(RowPlan, "__init__", counted)
-    heads.window_plan.cache_clear()
+    batching.window_plan.cache_clear()
     batching.mean_plan.cache_clear()
     rng = np.random.default_rng(12)
     params = heads.init_cnn_params(rng, 4, 3)

@@ -13,7 +13,7 @@ import pytest
 
 from meshact import engine, spae
 from meshact.engine import Tensor
-from meshact.errors import NonFiniteError
+from meshact.errors import ConfigError, NonFiniteError
 from meshact.hierarchy import build_hierarchy
 from meshact.spiral import PAD_SENTINEL
 from meshact.topology import icosphere
@@ -38,6 +38,37 @@ def test_param_names_cover_both_halves():
     assert {"spae.fc1.weight", "spae.fc2.weight", "spae.out.weight"} <= names
     for n, p in params.items():
         assert p.requires_grad, n
+
+
+def test_param_shapes_are_pinned_in_creation_order():
+    # creation order fixes which draws of the init RNG each weight gets
+    h = _hierarchy(short_spirals=True)
+    assert list(spae.spae_param_shapes(h, 8).items()) == [
+        ("spae.enc.0.weight", (18, 16)), ("spae.enc.0.bias", (16,)),
+        ("spae.enc.1.weight", (80, 32)), ("spae.enc.1.bias", (32,)),
+        ("spae.enc.2.weight", (160, 64)), ("spae.enc.2.bias", (64,)),
+        ("spae.enc.3.weight", (256, 128)), ("spae.enc.3.bias", (128,)),
+        ("spae.fc1.weight", (512, 8)), ("spae.fc1.bias", (8,)),
+        ("spae.fc2.weight", (8, 512)), ("spae.fc2.bias", (512,)),
+        ("spae.dec.0.weight", (512, 128)), ("spae.dec.0.bias", (128,)),
+        ("spae.dec.1.weight", (640, 64)), ("spae.dec.1.bias", (64,)),
+        ("spae.dec.2.weight", (320, 32)), ("spae.dec.2.bias", (32,)),
+        ("spae.dec.3.weight", (192, 32)), ("spae.dec.3.bias", (32,)),
+        ("spae.dec.4.weight", (192, 16)), ("spae.dec.4.bias", (16,)),
+        ("spae.out.weight", (96, 3)), ("spae.out.bias", (3,))]
+    assert [(prefix, level) for prefix, level, _, _
+            in spae.spiral_convs(h)] == [
+        ("spae.enc.0", 0), ("spae.enc.1", 1), ("spae.enc.2", 2),
+        ("spae.enc.3", 3), ("spae.dec.0", 3), ("spae.dec.1", 2),
+        ("spae.dec.2", 1), ("spae.dec.3", 0), ("spae.dec.4", 0),
+        ("spae.out", 0)]
+
+
+def test_hierarchy_with_three_factors_is_a_config_error():
+    topo, coords = icosphere(1)
+    h = build_hierarchy(topo, coords, (2.0, 2.0, 2.0), (6, 5, 5, 4))
+    with pytest.raises(ConfigError, match="factors"):
+        spae.spae_param_shapes(h, 8)
 
 
 def test_batched_spiral_indices_offset_blocks():
